@@ -6,13 +6,15 @@
      compile    run the compiler on a benchmark and dump analysis + code
      run        run one experiment and print every collected metric
      sweep      interactive response vs sleep time for any benchmark
-     serve      open-loop KV server tail latency vs offered load x hog variant
-     blame      per-request critical-path blame: additive response-time
-                decomposition, body vs tail, slowest-request trace export
+     figures    regenerate the paper's tables and figures, plus ablations
+     serve      open-loop KV server tail latency vs offered load x hog
+                variant, with per-request critical-path blame
+     tiers      tiered backing store: backend mixes + far-tier partition
      report     render metrics JSON files as human-readable tables
-     compare    diff two metrics JSON files (the CI regression gate)
+     compare    diff two metrics JSON files
      audit      per-directive-site efficacy report from the page ledger
-     perf       wall-clock throughput bench (events/sec; work counters gated)
+     perf       wall-clock throughput bench (events/sec, GC rates)
+     gate       run every scenario and compare against the baselines
      top        replay a telemetry dump as a live terminal dashboard
 *)
 
@@ -57,6 +59,40 @@ let variant_conv =
     | s -> Error (`Msg (Printf.sprintf "unknown variant %s (O, P, R or B)" s))
   in
   Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (Experiment.variant_name v))
+
+let chaos_conv =
+  let parse s =
+    match Memhog_sim.Chaos.parse s with
+    | Ok _ -> Ok s
+    | Error e -> Error (`Msg (Printf.sprintf "bad chaos spec: %s" e))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let jobs_term default =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value
+    & opt positive default
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Run the independent simulations on $(docv) worker domains.  \
+           Simulated results are bit-identical to --jobs 1; only wall-clock \
+           numbers change.")
+
+(* Progress lines on stderr, stamped with the seconds since start; worker
+   domains log too, so keep lines whole. *)
+let log =
+  let t0 = Unix.gettimeofday () and m = Mutex.create () in
+  fun msg ->
+    Mutex.protect m (fun () ->
+        Printf.eprintf "  [%7.1fs] %s\n%!" (Unix.gettimeofday () -. t0) msg)
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -200,14 +236,6 @@ let run_cmd =
             "Write the derived metrics (service-time histograms, Figure 7 \
              breakdown, release accuracy, telemetry ranges) as canonical \
              JSON, readable by $(b,memhog report) and $(b,memhog compare).")
-  in
-  let chaos_conv =
-    let parse s =
-      match Memhog_sim.Chaos.parse s with
-      | Ok _ -> Ok s
-      | Error e -> Error (`Msg (Printf.sprintf "bad chaos spec: %s" e))
-    in
-    Arg.conv (parse, Format.pp_print_string)
   in
   let chaos =
     Arg.(
@@ -435,16 +463,6 @@ let sweep_cmd =
       & info [ "sleeps" ] ~docv:"S,S,..."
           ~doc:"Sleep times (seconds) to sweep.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the sweep's independent simulations on $(docv) worker \
-             domains.  Results are identical to --jobs 1; each cell owns \
-             its own simulation.")
-  in
   let run machine workload sleeps jobs =
     (* Each (sleep, variant) cell is an independent simulation; fan them
        out over the pool and print in input order afterwards. *)
@@ -501,31 +519,141 @@ let sweep_cmd =
        ~doc:
          "Interactive response vs sleep time for one benchmark across all \
           four variants (Figures 1/10a for any workload).")
-    Term.(const run $ machine_term $ workload_term $ sleeps $ jobs)
+    Term.(const run $ machine_term $ workload_term $ sleeps $ jobs_term 1)
 
 (* ------------------------------------------------------------------ *)
-(* serve / blame                                                       *)
+(* figures                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The serve and blame verbs sweep the same grid; they share its
-   argument set. *)
-type serve_grid = {
-  sg_rates : float list;
-  sg_variants : Experiment.variant list;
-  sg_hog : Workload.t;
-  sg_slo : float;
-  sg_duration : float;
-  sg_chaos : string option;
-  sg_jobs : int;
-}
+(* The paper's experiments.  Most figures format one shared matrix (every
+   workload x O/P/R/B beside the 5 s interactive task); the rest run their
+   own sweeps. *)
+let figures =
+  [
+    ("table1", `Own (fun ~machine ~jobs:_ ~log:_ -> Figures.table1 ~machine ()));
+    ("table2", `Own (fun ~machine ~jobs:_ ~log:_ -> Figures.table2 ~machine ()));
+    ("fig1", `Own (fun ~machine ~jobs ~log -> Figures.fig1 ~machine ~jobs ~log ()));
+    ("fig7", `Matrix Figures.fig7);
+    ("fig8", `Matrix Figures.fig8);
+    ("table3", `Matrix Figures.table3);
+    ("fig9", `Matrix Figures.fig9);
+    ("fig10a", `Own (fun ~machine ~jobs ~log -> Figures.fig10a ~machine ~jobs ~log ()));
+    ("fig10b", `Matrix Figures.fig10b);
+    ("fig10c", `Matrix Figures.fig10c);
+    ( "ablation-batch",
+      `Own (fun ~machine ~jobs ~log -> Figures.ablation_batch ~machine ~jobs ~log ()) );
+    ( "ablation-hwbits",
+      `Own (fun ~machine ~jobs ~log -> Figures.ablation_hwbits ~machine ~jobs ~log ()) );
+    ( "ablation-conservative",
+      `Own
+        (fun ~machine ~jobs ~log ->
+          Figures.ablation_conservative ~machine ~jobs ~log ()) );
+    ( "ablation-rescue",
+      `Own (fun ~machine ~jobs ~log -> Figures.ablation_rescue ~machine ~jobs ~log ()) );
+    ( "ablation-drop",
+      `Own (fun ~machine ~jobs ~log -> Figures.ablation_drop ~machine ~jobs ~log ()) );
+    ( "ablation-tlb",
+      `Own (fun ~machine ~jobs ~log -> Figures.ablation_tlb ~machine ~jobs ~log ()) );
+    ( "ext-freemem",
+      `Own (fun ~machine ~jobs ~log -> Figures.ext_freemem ~machine ~jobs ~log ()) );
+    ( "ext-reactive",
+      `Own (fun ~machine ~jobs ~log -> Figures.ext_reactive ~machine ~jobs ~log ()) );
+    ( "ext-two-hogs",
+      `Own (fun ~machine ~jobs ~log -> Figures.ext_two_hogs ~machine ~jobs ~log ()) );
+  ]
 
-let serve_grid_term =
+let figures_cmd =
+  let ids =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (id, _) -> (id, id)) figures)) []
+      & info [] ~docv:"ID"
+          ~doc:"Experiments to run, in order (default: all of them).")
+  in
+  let trace =
+    Arg.(
+      value
+      & opt (some dir) None
+      & info [ "trace" ] ~docv:"DIR"
+          ~doc:
+            "Also write one Chrome trace_event JSON per matrix cell \
+             ($(b,WORKLOAD-VARIANT.trace.json)) into the existing $(docv).")
+  in
+  let chaos =
+    Arg.(
+      value
+      & opt (some chaos_conv) None
+      & info [ "chaos" ] ~docv:"SPEC"
+          ~doc:"Inject this fault plan into every matrix cell.")
+  in
+  let metrics =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics" ] ~docv:"FILE"
+          ~doc:
+            "Write the matrix's derived metrics as canonical JSON (needs a \
+             matrix figure: fig7, fig8, table3, fig9, fig10b or fig10c).")
+  in
+  let run machine jobs trace_dir chaos metrics ids =
+    let ids = if ids = [] then List.map fst figures else ids in
+    let uses_matrix id =
+      match List.assoc id figures with `Matrix _ -> true | `Own _ -> false
+    in
+    if metrics <> None && not (List.exists uses_matrix ids) then begin
+      Format.eprintf "memhog figures: --metrics needs a matrix figure@.";
+      2
+    end
+    else begin
+      let matrix =
+        lazy
+          (log
+             (Printf.sprintf "building the experiment matrix (%d jobs)" jobs);
+           Figures.run_matrix ~machine ~jobs ~log ?trace_dir ?chaos ())
+      in
+      log (Printf.sprintf "machine: %s | jobs: %d" machine.Machine.m_name jobs);
+      List.iter
+        (fun id ->
+          log (Printf.sprintf "=== %s ===" id);
+          let bar = String.make 72 '=' in
+          Printf.printf "\n%s\n%s\n%s\n%!" bar id bar;
+          print_endline
+            (match List.assoc id figures with
+            | `Matrix f -> f (Lazy.force matrix)
+            | `Own f -> f ~machine ~jobs ~log))
+        ids;
+      Option.iter
+        (fun path ->
+          Metrics_io.write_file ~path (Metrics.of_matrix (Lazy.force matrix));
+          log ("wrote " ^ path))
+        metrics;
+      0
+    end
+  in
+  Cmd.v
+    (Cmd.info "figures"
+       ~doc:
+         "Regenerate the paper's tables and figures, the ablations and the \
+          extensions, printed in paper order.  Full scale takes minutes per \
+          figure; $(b,--quick) runs the 1/8-scale machine.")
+    Term.(
+      const run $ machine_term $ jobs_term (Pool.default_jobs ()) $ trace
+      $ chaos $ metrics $ ids)
+
+(* ------------------------------------------------------------------ *)
+(* serve                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let serve_cmd =
   let rates =
     Arg.(
       value
-      & opt (list float) Serve.default_rates
+      & opt (some (list float)) None
       & info [ "rates" ] ~docv:"RPS,RPS,..."
-          ~doc:"Offered loads (requests/sec) to sweep.")
+          ~doc:
+            "Offered loads (requests/sec) to sweep (default: the machine's \
+             knee loads, 1600,3840 with $(b,--quick) and 3200,4480 \
+             otherwise).")
   in
   let variants =
     Arg.(
@@ -558,95 +686,10 @@ let serve_grid_term =
   let chaos =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some chaos_conv) None
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:"Apply this fault-injection plan to every cell.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the grid cells on $(docv) worker domains.  Results are \
-             bit-identical to --jobs 1.")
-  in
-  Term.(
-    const (fun sg_rates sg_variants sg_hog sg_slo sg_duration sg_chaos
-               sg_jobs ->
-        { sg_rates; sg_variants; sg_hog; sg_slo; sg_duration; sg_chaos;
-          sg_jobs })
-    $ rates $ variants $ hog $ slo $ duration $ chaos $ jobs)
-
-let run_serve_grid ~cmd ~machine g =
-  (match g.sg_chaos with
-  | Some spec -> (
-      match Memhog_sim.Chaos.parse spec with
-      | Ok _ -> ()
-      | Error e ->
-          Format.eprintf "memhog %s: bad chaos spec: %s@." cmd e;
-          exit 2)
-  | None -> ());
-  Serve.run ~machine ~workload:g.sg_hog.Workload.w_name ~rates:g.sg_rates
-    ~variants:g.sg_variants
-    ~slo:(Time_ns.of_sec_f g.sg_slo)
-    ~duration:(Time_ns.of_sec_f g.sg_duration)
-    ?chaos:g.sg_chaos ~jobs:g.sg_jobs
-    ~log:(fun m -> Format.eprintf "%s@." m)
-    ()
-
-let write_serve_metrics ~machine ~hog ~path t =
-  let label =
-    Printf.sprintf "%s serve %s" machine.Machine.m_name hog.Workload.w_name
-  in
-  Metrics_io.write_file ~path (Metrics.of_results ~label (Serve.results t));
-  Format.printf "metrics written to %s@." path
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write the grid's derived metrics (including the per-cell \
-           $(b,serving) and $(b,blame) objects) as canonical JSON.")
-
-let serve_cmd =
-  let blame =
-    Arg.(
-      value & flag
-      & info [ "blame" ]
-          ~doc:
-            "Also print the per-request blame tables (response-time \
-             decomposition by percentile band) — shorthand for following \
-             up with $(b,memhog blame).")
-  in
-  let run machine g blame metrics =
-    let t = run_serve_grid ~cmd:"serve" ~machine g in
-    print_string (Serve.render t);
-    print_newline ();
-    print_string (Figures.serve_tail t);
-    if blame then begin
-      print_newline ();
-      print_string (Serve.render_blame t);
-      print_newline ();
-      print_string (Figures.serve_blame t)
-    end;
-    (match metrics with
-    | Some path -> write_serve_metrics ~machine ~hog:g.sg_hog ~path t
-    | None -> ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Sweep the open-loop KVSERVE server over offered load x hog \
-          variant and report tail latency (p50/p99/p999, measured from \
-          arrival) and SLO attainment — the serving analogue of the \
-          paper's interactivity figures.")
-    Term.(const run $ machine_term $ serve_grid_term $ blame $ metrics_arg)
-
-let blame_cmd =
   let trace =
     Arg.(
       value
@@ -657,49 +700,60 @@ let blame_cmd =
              slice, additive blame components, disk/transit sub-intervals) \
              as Chrome trace-event JSON, openable in Perfetto.")
   in
-  let run machine g trace metrics =
-    let t = run_serve_grid ~cmd:"blame" ~machine g in
-    print_string (Serve.render t);
-    print_newline ();
-    print_string (Serve.render_blame t);
-    print_newline ();
-    print_string (Figures.serve_blame t);
-    (match trace with
-    | Some path -> (
-        (* the slowest committed request across the whole grid *)
-        let slowest =
-          List.fold_left
-            (fun acc (r : Experiment.result) ->
-              match (acc, Memhog_sim.Reqtrace.slowest r.Experiment.r_reqtrace) with
-              | None, sp -> sp
-              | Some a, Some sp
-                when sp.Memhog_sim.Reqtrace.sp_response
-                     > a.Memhog_sim.Reqtrace.sp_response ->
-                  Some sp
-              | acc, _ -> acc)
-            None (Serve.results t)
-        in
-        match slowest with
+  let metrics =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics" ] ~docv:"FILE"
+          ~doc:
+            "Write the grid's derived metrics (including the per-cell \
+             $(b,serving) and $(b,blame) objects) as canonical JSON — on \
+             $(b,--quick) with the defaults, the bytes of \
+             bench/SERVE_metrics.json.")
+  in
+  let run machine rates variants hog slo duration chaos jobs trace metrics =
+    let t =
+      Serve.run ~machine ~workload:hog.Workload.w_name
+        ~rates:(Option.value rates ~default:(Serve.knee_rates machine))
+        ~variants
+        ~slo:(Time_ns.of_sec_f slo)
+        ~duration:(Time_ns.of_sec_f duration)
+        ?chaos ~jobs ~log ()
+    in
+    List.iter print_endline
+      [
+        Serve.render t; Figures.serve_tail t; Serve.render_blame t;
+        Figures.serve_blame t;
+      ];
+    Option.iter
+      (fun path ->
+        match Serve.slowest t with
         | Some sp ->
             Trace_export.write_blame_span sp ~path;
             Format.printf "slowest-request trace written to %s@." path
-        | None -> Format.eprintf "memhog blame: no requests recorded@.")
-    | None -> ());
-    (match metrics with
-    | Some path -> write_serve_metrics ~machine ~hog:g.sg_hog ~path t
-    | None -> ());
+        | None -> Format.eprintf "memhog serve: no requests recorded@.")
+      trace;
+    Option.iter
+      (fun path ->
+        Metrics_io.write_file ~path
+          (Metrics.of_results ~label:(Serve.label t) (Serve.results t));
+        Format.printf "metrics written to %s@." path)
+      metrics;
     0
   in
   Cmd.v
-    (Cmd.info "blame"
+    (Cmd.info "serve"
        ~doc:
-         "Run the serving grid and decompose every sampled request's \
-          response time into additive critical-path components (queue \
-          wait, index/value fault stalls, CPU wait, compute — summing \
-          exactly to the response), then report where the tail's time \
-          went, body vs p99+ bands, plus prefetch-race and demand-disk \
-          attribution.")
-    Term.(const run $ machine_term $ serve_grid_term $ trace $ metrics_arg)
+         "Sweep the open-loop KVSERVE server over offered load x hog \
+          variant and report tail latency (p50/p99/p999, measured from \
+          arrival) and SLO attainment — the serving analogue of the \
+          paper's interactivity figures — then decompose every sampled \
+          request's response time into additive critical-path components \
+          (queue wait, index/value fault stalls, CPU wait, compute) by \
+          percentile band, with prefetch-race and demand-disk attribution.")
+    Term.(
+      const run $ machine_term $ rates $ variants $ hog $ slo $ duration $ chaos
+      $ jobs_term 1 $ trace $ metrics)
 
 (* ------------------------------------------------------------------ *)
 (* tiers                                                               *)
@@ -715,15 +769,6 @@ let tiers_cmd =
             "Offered load of the partition serving cell (default: the \
              machine's at-the-knee load).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the cells on $(docv) worker domains.  Results are \
-             bit-identical to --jobs 1.")
-  in
   let metrics =
     Arg.(
       value
@@ -735,25 +780,16 @@ let tiers_cmd =
   in
   let run machine rate jobs metrics =
     let rate =
-      match rate with
-      | Some r -> r
-      | None ->
-          if machine.Machine.m_name = Machine.quick.Machine.m_name then 1600.0
-          else 3200.0
+      Option.value rate ~default:(List.hd (Serve.knee_rates machine))
     in
-    let t =
-      Tier_exp.run ~machine ~rate ~jobs
-        ~log:(fun m -> Format.eprintf "%s@." m)
-        ()
-    in
+    let t = Tier_exp.run ~machine ~rate ~jobs ~log () in
     print_string (Tier_exp.render t);
-    (match metrics with
-    | Some path ->
-        let label = Printf.sprintf "tiers %s" machine.Machine.m_name in
+    Option.iter
+      (fun path ->
         Metrics_io.write_file ~path
-          (Metrics.of_results ~label (Tier_exp.results t));
-        Format.printf "metrics written to %s@." path
-    | None -> ());
+          (Metrics.of_results ~label:(Tier_exp.label t) (Tier_exp.results t));
+        Format.printf "metrics written to %s@." path)
+      metrics;
     match Tier_exp.check t with
     | () -> 0
     | exception Failure msg ->
@@ -769,7 +805,7 @@ let tiers_cmd =
           fail over to the durable swap copy, in-flight reads must be \
           rescued, the circuit breaker must cycle, and post-window SLO \
           attainment must recover.")
-    Term.(const run $ machine_term $ rate $ jobs $ metrics)
+    Term.(const run $ machine_term $ rate $ jobs_term 1 $ metrics)
 
 (* ------------------------------------------------------------------ *)
 (* report / compare                                                    *)
@@ -802,8 +838,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Render metrics JSON files (written by $(b,run --metrics) or \
-          $(b,bench/main.exe --json)) as human-readable tables.")
+         "Render metrics JSON files (written by $(b,--metrics) or \
+          $(b,memhog gate)) as human-readable tables.")
     Term.(const run $ files)
 
 let compare_cmd =
@@ -851,8 +887,9 @@ let compare_cmd =
     (Cmd.info "compare"
        ~doc:
          "Compare two metrics JSON files field by field; exit non-zero when \
-          any number drifts beyond the tolerance.  The CI regression gate \
-          runs this with --tolerance 0 against a committed baseline.")
+          any number drifts beyond the tolerance.  ($(b,memhog gate) runs \
+          the same comparison at tolerance 0 against every committed \
+          baseline.)")
     Term.(const run $ baseline $ current $ tolerance)
 
 (* ------------------------------------------------------------------ *)
@@ -1176,32 +1213,8 @@ let audit_cmd =
             Report.count l.Ledger.ls_unnecessary_releases ];
         ];
     (* --- reconciliation against the VM's own counters ---------------- *)
-    let s = r.Experiment.r_app_stats in
-    let checks =
-      [
-        ("hard faults", l.Ledger.ls_hard_faults, s.VS.hard_faults);
-        ("soft faults", l.Ledger.ls_soft_faults, s.VS.soft_faults);
-        ( "validation faults",
-          l.Ledger.ls_validation_faults,
-          s.VS.validation_faults );
-        ("zero fills", l.Ledger.ls_zero_fills, s.VS.zero_fills);
-        ("rescues", l.Ledger.ls_rescues, s.VS.rescued_daemon + s.VS.rescued_releaser);
-        ("prefetches issued", l.Ledger.ls_prefetches_issued, s.VS.prefetches_issued);
-        ("prefetches dropped", l.Ledger.ls_prefetches_dropped, s.VS.prefetches_dropped);
-        ("releases freed", l.Ledger.ls_releases_freed, s.VS.freed_by_releaser);
-        ("releases skipped", l.Ledger.ls_releases_skipped, s.VS.releases_skipped);
-      ]
-    in
-    table ~title:"Reconciliation (ledger vs Vm_stats)"
-      ~header:[ "counter"; "ledger"; "vm"; "status" ]
-      ~rows:
-        (List.map
-           (fun (name, lv, vv) ->
-             [
-               name; Report.count lv; Report.count vv;
-               (if lv = vv then "ok" else "MISMATCH");
-             ])
-           checks);
+    let checks = Scenario.reconcile r in
+    print_string (Scenario.reconciliation_table checks);
     let reconciled = List.for_all (fun (_, lv, vv) -> lv = vv) checks in
     let legal = Ledger.invariants_ok l in
     if not legal then Format.printf "ledger invariants: VIOLATED@.";
@@ -1226,25 +1239,6 @@ let audit_cmd =
 (* ------------------------------------------------------------------ *)
 
 let perf_cmd =
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the perf cells on $(docv) worker domains.  The gated work \
-             counters are identical at any job count; only the wall-clock \
-             members change.")
-  in
-  let gc_minor_kb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-minor-kb" ] ~docv:"KB"
-          ~doc:
-            "Resize the GC minor heap to $(docv) KiB before running (a \
-             tuning knob; recorded in the output as informational).")
-  in
   let ledger =
     Arg.(
       value & flag
@@ -1261,79 +1255,60 @@ let perf_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the PERF metrics JSON to $(docv).")
   in
-  let check =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"BASELINE"
-          ~doc:
-            "Gate mode: compare deterministic work counters against the \
-             baseline PERF file (tolerance 0); exits non-zero on any \
-             divergence.  Wall-clock members are never compared.")
-  in
-  let current =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:
-            "With --check: compare this already-written PERF file instead \
-             of running the bench.")
-  in
-  let gate baseline current_json =
-    let diffs =
-      Metrics_io.compare_json ~tolerance:0.0
-        (Perf.work_projection baseline)
-        (Perf.work_projection current_json)
-    in
-    match diffs with
-    | [] ->
-        Format.printf "perf work counters match the baseline@.";
-        0
-    | diffs ->
-        Format.printf "@[<v>%d perf work counter(s) diverged from the baseline:@,%a@]@."
-          (List.length diffs)
-          (Metrics_io.pp_diffs ?limit:None)
-          diffs;
-        1
-  in
-  let run machine jobs gc_minor_kb ledger out check current =
-    match (check, current) with
-    | Some baseline, Some cur -> (
-        match (Perf.load_file ~path:baseline, Perf.load_file ~path:cur) with
-        | Error e, _ | _, Error e ->
-            Format.eprintf "memhog perf: %s@." e;
-            2
-        | Ok b, Ok c -> gate b c)
-    | _ -> (
-        let t = Perf.run ?gc_minor_kb ~ledger ~machine ~jobs () in
-        print_string (Perf.render t);
-        Option.iter
-          (fun path ->
-            Perf.write_file ~path t;
-            Format.printf "wrote %s@." path)
-          out;
-        match check with
-        | None -> 0
-        | Some baseline -> (
-            match Perf.load_file ~path:baseline with
-            | Error e ->
-                Format.eprintf "memhog perf: %s@." e;
-                2
-            | Ok b -> gate b (Perf.to_json t)))
+  let run machine jobs ledger out =
+    let t = Perf.run ~ledger ~machine ~jobs () in
+    print_string (Perf.render t);
+    Option.iter
+      (fun path ->
+        Perf.write_file ~path t;
+        Format.printf "wrote %s@." path)
+      out;
+    0
   in
   Cmd.v
     (Cmd.info "perf"
        ~doc:
          "Wall-clock throughput bench: run the perf workload cells and \
           report events/sec, faults/sec, simulated-ns per wall-ns and GC \
-          allocation rates.  Deterministic work counters (events executed, \
-          faults serviced, iterations, simulated time) can be gated against \
-          a committed PERF_metrics.json baseline with $(b,--check); \
-          wall-clock numbers are informational only.")
-    Term.(
-      const run $ machine_term $ jobs $ gc_minor_kb $ ledger $ out $ check
-      $ current)
+          allocation rates.  The deterministic work counters (events \
+          executed, faults serviced, iterations, simulated time) are gated \
+          by $(b,memhog gate); wall-clock numbers are informational only.")
+    Term.(const run $ machine_term $ jobs_term 1 $ ledger $ out)
+
+(* ------------------------------------------------------------------ *)
+(* gate                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let gate_cmd =
+  let baselines =
+    Arg.(
+      value
+      & opt string "bench"
+      & info [ "baselines" ] ~docv:"DIR"
+          ~doc:"Directory holding the committed NAME_metrics.json baselines.")
+  in
+  let out =
+    Arg.(
+      value
+      & opt string "gate-out"
+      & info [ "out"; "o" ] ~docv:"DIR"
+          ~doc:
+            "Directory (created if needed) for the current documents and \
+             artifacts.  Regenerate the baselines on purpose with \
+             $(b,cp) $(docv)$(b,/*_metrics.json bench/).")
+  in
+  let run baselines out =
+    match Scenario.gate ~log ~baselines ~out () with [] -> 0 | _ -> 1
+  in
+  Cmd.v
+    (Cmd.info "gate"
+       ~doc:
+         "The regression gate: run every scenario (smoke, chaos, audit, \
+          serve, tiers, obs, perf) on the quick machine, check its built-in \
+          assertions, and compare its metrics document against the \
+          committed baseline at tolerance 0.  Exits non-zero on any diff, \
+          missing baseline or failed assertion.")
+    Term.(const run $ baselines $ out)
 
 let () =
   let doc =
@@ -1346,6 +1321,6 @@ let () =
           (Cmd.info "memhog" ~version:"1.0.0" ~doc)
           [
             list_cmd; machine_cmd; compile_cmd; run_cmd; sweep_cmd;
-            serve_cmd; blame_cmd; tiers_cmd; report_cmd; compare_cmd;
-            audit_cmd; perf_cmd; top_cmd;
+            figures_cmd; serve_cmd; tiers_cmd; report_cmd; compare_cmd;
+            audit_cmd; perf_cmd; gate_cmd; top_cmd;
           ]))

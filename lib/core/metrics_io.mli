@@ -32,6 +32,9 @@ val parse : string -> (json, string) result
 (** Strict JSON parser (objects, arrays, strings with escapes, numbers,
     [true]/[false]/[null]); the error string includes an offset. *)
 
+val parse_file : path:string -> (json, string) result
+(** {!parse} a whole file; the error names the path. *)
+
 (** {1 Metrics files} *)
 
 val schema_version : int
@@ -39,6 +42,9 @@ val schema_version : int
 val metrics_json : Metrics.t -> json
 (** Stable-key document: [{"schema": "memhog-metrics", "schema_version": N,
     "label": ..., "cells": [...], "totals": {...}}]. *)
+
+val write_json : path:string -> json -> unit
+(** {!to_string} into a file. *)
 
 val write_file : path:string -> Metrics.t -> unit
 

@@ -34,15 +34,10 @@ type cell_result = {
 type t = {
   p_machine : string;
   p_jobs : int;
-  p_gc_minor_kb : int option;
   p_ledger : bool;
   p_total_wall_s : float;
   p_cells : cell_result list;
 }
-
-let set_gc_minor_kb kb =
-  if kb < 32 then invalid_arg "Perf.set_gc_minor_kb: below 32 KiB";
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = kb * 128 (* 8-byte words *) }
 
 (* GC counters are per-domain in OCaml 5, so the deltas must bracket the
    run inside the worker that executes it — measuring from the main domain
@@ -82,15 +77,12 @@ let run_cell ~machine ~ledger (c : cell) =
       (if events > 0 then minor_words /. float_of_int events else 0.0);
   }
 
-let run ?(cells = default_cells) ?(ledger = false) ?gc_minor_kb ~machine ~jobs
-    () =
-  Option.iter set_gc_minor_kb gc_minor_kb;
+let run ?(cells = default_cells) ?(ledger = false) ~machine ~jobs () =
   let t0 = Unix.gettimeofday () in
   let results = Pool.map ~jobs (run_cell ~machine ~ledger) cells in
   {
     p_machine = machine.Machine.m_name;
     p_jobs = jobs;
-    p_gc_minor_kb = gc_minor_kb;
     p_ledger = ledger;
     p_total_wall_s = Unix.gettimeofday () -. t0;
     p_cells = results;
@@ -140,58 +132,21 @@ let cell_json (c : cell_result) =
 
 let to_json t =
   Obj
-    ([
-       ("schema", Str schema);
-       ("schema_version", num_of_int perf_schema_version);
-       ("machine", Str t.p_machine);
-       ("jobs", num_of_int t.p_jobs);
-     ]
-    @ (match t.p_gc_minor_kb with
-      | Some kb -> [ ("gc_minor_kb", num_of_int kb) ]
-      | None -> [])
-    @ [
-        ("ledger", Bool t.p_ledger);
-        ("total_wall_s", num_wall t.p_total_wall_s);
-        ("cells", Arr (List.map cell_json t.p_cells));
-      ])
+    [
+      ("schema", Str schema);
+      ("schema_version", num_of_int perf_schema_version);
+      ("machine", Str t.p_machine);
+      ("jobs", num_of_int t.p_jobs);
+      ("ledger", Bool t.p_ledger);
+      ("total_wall_s", num_wall t.p_total_wall_s);
+      ("cells", Arr (List.map cell_json t.p_cells));
+    ]
 
-let write_file ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string (to_json t));
-      output_char oc '\n')
-
-let load_file ~path =
-  match
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
-  with
-  | Error e -> Error e
-  | Ok body -> (
-      match parse body with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok json -> (
-          match json with
-          | Obj kvs
-            when List.assoc_opt "schema" kvs = Some (Str schema)
-                 && (match List.assoc_opt "schema_version" kvs with
-                    | Some (Num (v, _)) -> int_of_float v = perf_schema_version
-                    | _ -> false) ->
-              Ok json
-          | _ ->
-              Error
-                (Printf.sprintf "%s: not a %s schema_version %d file" path
-                   schema perf_schema_version)))
+let write_file ~path t = write_json ~path (to_json t)
 
 (* Members that carry wall-clock or environment information; everything
    else in the document is deterministic work. *)
-let informational = [ "wall"; "jobs"; "gc_minor_kb"; "total_wall_s" ]
+let informational = [ "wall"; "jobs"; "total_wall_s" ]
 
 let rec work_projection = function
   | Obj kvs ->
@@ -203,23 +158,6 @@ let rec work_projection = function
            kvs)
   | Arr xs -> Arr (List.map work_projection xs)
   | j -> j
-
-let check ~baseline ~current =
-  match (load_file ~path:baseline, load_file ~path:current) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok b, Ok c -> (
-      match
-        compare_json ~tolerance:0.0 (work_projection b) (work_projection c)
-      with
-      | [] -> Ok ()
-      | diffs ->
-          Error
-            (String.concat "\n"
-               (List.map
-                  (fun d ->
-                    Printf.sprintf "%s: expected %s, got %s (%s)" d.d_path
-                      d.d_expected d.d_got d.d_reason)
-                  diffs)))
 
 let render t =
   let rows =

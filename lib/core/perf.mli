@@ -1,4 +1,4 @@
-(** Wall-clock throughput benchmark ([memhog perf], [bench perf]).
+(** Wall-clock throughput benchmark ([memhog perf], the perf scenario).
 
     Runs a small grid of workload cells and measures how fast the simulator
     itself executes: events/sec, faults/sec, simulated-ns per wall-ns, and
@@ -8,7 +8,7 @@
 
     - ["work"] members are deterministic work counters (engine events
       executed, faults serviced, iterations, simulated ns) — identical at
-      any [--jobs] level and gated zero-tolerance in CI;
+      any [--jobs] level and gated zero-tolerance by [memhog gate];
     - ["wall"] members are wall-clock and allocation numbers — recorded
       informationally, never gated.
 
@@ -20,7 +20,7 @@
 type cell = { pc_workload : string; pc_variant : Experiment.variant }
 
 val default_cells : cell list
-(** The @perf-smoke grid: MATVEC/O, MATVEC/R, EMBAR/B, CGM/P. *)
+(** The perf scenario's grid: MATVEC/O, MATVEC/R, EMBAR/B, CGM/P. *)
 
 type cell_result = {
   pr_label : string;  (** "WORKLOAD/VARIANT" *)
@@ -46,20 +46,14 @@ type cell_result = {
 type t = {
   p_machine : string;
   p_jobs : int;
-  p_gc_minor_kb : int option;  (** explicit minor-heap size, when tuned *)
   p_ledger : bool;             (** cells ran with the lifecycle ledger on *)
   p_total_wall_s : float;
   p_cells : cell_result list;
 }
 
-val set_gc_minor_kb : int -> unit
-(** Resize the minor heap (KiB; 64-bit words internally).  Applied before
-    any cell runs so worker domains inherit it. *)
-
 val run :
   ?cells:cell list ->
   ?ledger:bool ->
-  ?gc_minor_kb:int ->
   machine:Machine.t ->
   jobs:int ->
   unit ->
@@ -73,21 +67,11 @@ val to_json : t -> Metrics_io.json
 
 val write_file : path:string -> t -> unit
 
-val load_file : path:string -> (Metrics_io.json, string) result
-(** Parse a perf file; fails when unreadable, malformed, or not carrying
-    [schema = "memhog-perf"] / the expected [schema_version]. *)
-
 val work_projection : Metrics_io.json -> Metrics_io.json
-(** Strip every informational member (["wall"], ["jobs"], ["gc_minor_kb"],
-    ["total_wall_s"]) so only the gated work counters remain.  Two runs of
-    the same grid — at any [--jobs], with any wall-clock — project to
-    byte-identical documents. *)
-
-val check :
-  baseline:string -> current:string -> (unit, string) result
-(** CI gate: load both files and compare their {!work_projection}s at
-    tolerance 0 (raw number lexemes must match).  [Error] lists the
-    divergent paths. *)
+(** Strip every informational member (["wall"], ["jobs"], ["total_wall_s"])
+    so only the gated work counters remain.  Two runs of the same grid —
+    at any [--jobs], with any wall-clock — project to byte-identical
+    documents; the perf scenario gates this projection. *)
 
 val render : t -> string
 (** Human-readable table of the run (events/sec, faults/sec, sim-ns per

@@ -28,8 +28,29 @@ let default_rates = [ 3200.0; 4480.0 ]
 let default_variants = [ E.O; E.B ]
 let default_hog = "MATVEC"
 
+(* The quick machine's knee sits lower: its 1/8-scale memory is stolen
+   from the server sooner. *)
+let knee_rates (machine : Machine.t) =
+  if machine.Machine.m_name = Machine.quick.Machine.m_name then
+    [ 1600.0; 3840.0 ]
+  else default_rates
+
 let cells t = t.s_cells
 let results t = List.map snd t.s_cells
+
+let label t =
+  Printf.sprintf "serve %s %s" t.s_workload t.s_machine.Machine.m_name
+
+let slowest t =
+  List.fold_left
+    (fun acc (r : E.result) ->
+      match (acc, Reqtrace.slowest r.E.r_reqtrace) with
+      | None, sp -> sp
+      | Some a, Some sp when sp.Reqtrace.sp_response > a.Reqtrace.sp_response
+        ->
+          Some sp
+      | acc, _ -> acc)
+    None (results t)
 
 let run ?(machine = Machine.paper) ?(workload = default_hog)
     ?(rates = default_rates) ?(variants = default_variants)

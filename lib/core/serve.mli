@@ -27,6 +27,13 @@ val default_rates : float list
     the paper machine, so the sweep shows the p999 collapse (the released
     hog keeps the tail flat through both). *)
 
+val knee_rates : Machine.t -> float list
+(** The offered loads at and past the knee of [machine]: 1600 and 3840 rps
+    on {!Machine.quick}, {!default_rates} otherwise.  Below the knee both
+    variants hold the SLO and the O/B comparison is noise.  The serve,
+    tiers and obs scenarios and the CLI's defaults all read it; the tiers
+    and obs cells serve at its first (at-the-knee) load. *)
+
 val default_variants : Experiment.variant list
 (** O and B — the paper's bookends. *)
 
@@ -58,6 +65,15 @@ val cells : t -> (cell * Experiment.result) list
 val results : t -> Experiment.result list
 (** Flattened grid-order results, ready for {!Metrics.of_results}. *)
 
+val label : t -> string
+(** ["serve HOG MACHINE"]: the label of the grid's metrics document, shared
+    by [memhog serve --metrics] and the serve scenario so both write the
+    same bytes. *)
+
+val slowest : t -> Memhog_sim.Reqtrace.span option
+(** The slowest sampled request across the whole grid (first on ties) —
+    feed {!Trace_export.write_blame_span}. *)
+
 val serving_exn : Experiment.result -> Memhog_exec.Server.summary
 (** The serving close-out of a grid cell.
     @raise Invalid_argument on a non-serve result. *)
@@ -73,6 +89,6 @@ val render : t -> string
 
 val render_blame : t -> string
 (** Plain-text blame tables: mean per-request response-time decomposition
-    by percentile band (the [memhog blame] headline — components sum to
+    by percentile band (the [memhog serve] blame headline — components sum to
     the response column exactly), plus the prefetch-race and demand-disk
     attribution counters per cell. *)

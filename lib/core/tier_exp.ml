@@ -50,6 +50,7 @@ type t = {
 }
 
 let results t = List.map snd t.tx_mixes @ [ t.tx_partition ]
+let label t = Printf.sprintf "tiers %s" t.tx_machine.Machine.m_name
 
 let run ?(machine = Machine.paper) ?(workload = "EMBAR") ?(variant = E.B)
     ?(mixes = default_mixes) ~rate ?(jobs = 1)

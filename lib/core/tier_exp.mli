@@ -62,6 +62,10 @@ val results : t -> Experiment.result list
 (** Matrix cells in mix order, then the partition cell — ready for
     {!Metrics.of_results}. *)
 
+val label : t -> string
+(** ["tiers MACHINE"]: the metrics-document label shared by [memhog tiers
+    --metrics] and the tiers scenario. *)
+
 val check : t -> unit
 (** The experiment's built-in gates.  Matrix: invariants hold and each
     configured fast tier saw writes.  Partition: invariants hold, the

@@ -193,7 +193,7 @@ val set_eviction_advisor : t -> Address_space.t -> (unit -> int option) -> unit
     application would rather surrender.  Section 2.2's argument — that a
     reactive scheme improves the application's own replacement but cannot
     protect other applications — is demonstrated by
-    [bench/main.exe ext-reactive]. *)
+    [memhog figures ext-reactive]. *)
 
 (** {1 Control} *)
 
