@@ -244,7 +244,7 @@ let run_cmd =
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:
             "Inject faults from this plan (e.g. \
-             $(b,disk-fault\\@10s-20s:p=0.5;pressure\\@30s-31s:pages=128)).  \
+             $(b,disk-fault@10s-20s:p=0.5;pressure@30s-31s:pages=128)).  \
              The plan is seeded with the machine seed, so repeated runs \
              inject the identical schedule.  Also enables the run-time \
              layer's graceful-degradation governor.")

@@ -7,6 +7,8 @@ type ctx = {
   conservative : bool;
   stats : Pir.gen_stats;
   mutable next_tag : int;
+  mutable slots : string list;  (* this program's frame layout, last slot first *)
+  mutable nslots : int;
 }
 
 let fresh_tag ctx =
@@ -21,18 +23,52 @@ let emit_release ctx = ctx.variant = Pir.V_release
 (* Runtime-expression helpers                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rt_bound b env = Ir.eval_bound env b
-let rt_const n _env = n
+(* The frame slot of [name], assigned on first use.  A program reads a
+   handful of names, so a list beats hashing each lookup. *)
+let slot ctx name =
+  let rec find i = function
+    | [] ->
+        ctx.slots <- name :: ctx.slots;
+        ctx.nslots <- ctx.nslots + 1;
+        ctx.nslots - 1
+    | n :: rest -> if String.equal n name then i else find (i - 1) rest
+  in
+  find (ctx.nslots - 1) ctx.slots
 
-let with_binding env var value f =
-  let old = Hashtbl.find_opt env var in
-  Hashtbl.replace env var value;
-  Fun.protect
-    ~finally:(fun () ->
-      match old with
-      | Some o -> Hashtbl.replace env var o
-      | None -> Hashtbl.remove env var)
-    (fun () -> f env)
+let rt_const n (_ : Pir.frame) = n
+
+(* [c + sum k * slot + sum slot1 * slot2]: every name already resolved to
+   its slot, so evaluation is array loads and arithmetic. *)
+let rt_affine c (terms : (int * int) list) (products : (int * int) list) : Pir.rt =
+  match (terms, products) with
+  | [], [] -> rt_const c
+  | [ (s, k) ], [] -> fun f -> c + (k * f.(s))
+  | [ (s1, k1); (s2, k2) ], [] -> fun f -> c + (k1 * f.(s1)) + (k2 * f.(s2))
+  | _ ->
+      let ts = Array.of_list terms and ps = Array.of_list products in
+      fun f ->
+        let acc = ref c in
+        for i = 0 to Array.length ts - 1 do
+          let s, k = ts.(i) in
+          acc := !acc + (k * f.(s))
+        done;
+        for i = 0 to Array.length ps - 1 do
+          let a, b = ps.(i) in
+          acc := !acc + (f.(a) * f.(b))
+        done;
+        !acc
+
+let rt_bound ctx (b : Ir.bound) =
+  rt_affine b.Ir.bc (List.map (fun (p, k) -> (slot ctx p, k)) b.Ir.bt) []
+
+(* Evaluate [f] with slot [sv] temporarily set to [value]. *)
+let with_binding sv value (f : Pir.rt) : Pir.rt =
+ fun frame ->
+  let old = frame.(sv) in
+  frame.(sv) <- value frame;
+  let r = f frame in
+  frame.(sv) <- old;
+  r
 
 (* The term actually moving [var] (opaque terms included: generated code
    computes real addresses even when the analysis was blind to them). *)
@@ -48,16 +84,31 @@ let actual_advance (path : Ir.loop list) (s : Ir.subscript) =
       match actual_term s l.Ir.l_var with Some _ -> Some l.Ir.l_var | None -> acc)
     None path
 
-let stride_rt s var env =
-  match actual_term s var with Some c -> Ir.coef_value env c | None -> 0
+(* The stride's term is looked up here, once; only its value is left to
+   run time. *)
+let stride_rt ctx s var : Pir.rt =
+  match actual_term s var with
+  | None -> rt_const 0
+  | Some (Ir.C_const c) -> rt_const c
+  | Some (Ir.C_param p | Ir.C_opaque p) ->
+      let sp = slot ctx p in
+      fun f -> f.(sp)
 
-let sub_rt s env = Ir.eval_subscript env s
+let sub_rt ctx (s : Ir.subscript) =
+  let terms, products =
+    List.fold_left
+      (fun (ts, ps) (v, c) ->
+        match c with
+        | Ir.C_const k -> ((slot ctx v, k) :: ts, ps)
+        | Ir.C_param p | Ir.C_opaque p -> (ts, (slot ctx v, slot ctx p) :: ps))
+      (List.map (fun (p, k) -> (slot ctx p, k)) s.Ir.sp, [])
+      s.Ir.st
+  in
+  rt_affine s.Ir.sc (List.rev terms) (List.rev products)
 
-let sub_shifted_rt s var delta env =
-  Ir.eval_subscript env s + (delta * stride_rt s var env)
-
-(* Subscript with [var] pinned to the loop's lower bound (for prologues). *)
-let sub_at_rt s var at env = with_binding env var (at env) (fun env -> Ir.eval_subscript env s)
+(* A subscript advanced [delta] iterations along a loop that moves it by
+   [stride] per iteration. *)
+let shifted sub stride delta : Pir.rt = fun f -> sub f + (delta * stride f)
 
 (* ------------------------------------------------------------------ *)
 (* Pipelining distance                                                 *)
@@ -110,16 +161,17 @@ let prefetches_for ctx ~var ~lo ~hi ~step ~dist (sites : ref_site list) =
         else begin
           ctx.stats.Pir.gs_prefetch_sites <- ctx.stats.Pir.gs_prefetch_sites + 1;
           let s = site.rs_sub in
+          let sub = sub_rt ctx s and stride = stride_rt ctx s var in
           let array = site.rs_ref.A.ra_ref.Ir.r_array in
           let desc = Printf.sprintf "%s@%s" array var in
-          (* Prologue: cover the first [dist] elements of the loop range. *)
+          (* Prologue: cover the first [dist] elements of the loop range,
+             the subscript evaluated with [var] pinned to the lower bound. *)
           let prologue =
             Pir.P_prefetch
               (mk_dir ctx ~array
-                 ~first:(sub_at_rt s var lo)
-                 ~count:(fun env -> max 0 (min dist (hi env - lo env)))
-                 ~stride:(stride_rt s var)
-                 ~desc:(desc ^ " prologue"))
+                 ~first:(with_binding (slot ctx var) lo sub)
+                 ~count:(fun f -> max 0 (min dist (hi f - lo f)))
+                 ~stride ~desc:(desc ^ " prologue"))
           in
           (* Steady state: fetch [dist] ahead of the current position.  The
              lookahead deliberately runs past this loop's bound — for a
@@ -128,11 +180,8 @@ let prefetches_for ctx ~var ~lo ~hi ~step ~dist (sites : ref_site list) =
              the evaluator clamps at the end of the array. *)
           let steady_d =
             Pir.P_prefetch
-              (mk_dir ctx ~array
-                 ~first:(sub_shifted_rt s var dist)
-                 ~count:(rt_const step)
-                 ~stride:(stride_rt s var)
-                 ~desc)
+              (mk_dir ctx ~array ~first:(shifted sub stride dist)
+                 ~count:(rt_const step) ~stride ~desc)
           in
           (prologue :: pro, steady_d :: steady)
         end)
@@ -149,9 +198,11 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
           when ra.A.ra_is_trailer && not (ctx.conservative && d.A.da_retained) ->
             ctx.stats.Pir.gs_release_sites <- ctx.stats.Pir.gs_release_sites + 1;
             let s = site.rs_sub in
+            let sub = sub_rt ctx s and stride = stride_rt ctx s var in
             let array = ra.A.ra_ref.Ir.r_array in
             let desc = Printf.sprintf "%s@%s" array var in
             let priority = d.A.da_priority in
+            let sv = slot ctx var in
             (* Steady state: release the chunk the trailing reference has
                fully passed (one step behind). *)
             let steady_d =
@@ -159,19 +210,18 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
                 {
                   dir =
                     mk_dir ctx ~array
-                      ~first:(sub_shifted_rt s var (-step))
-                      ~count:(fun env ->
-                        let v = Hashtbl.find env var in
-                        if v - step < lo env then 0
-                        else max 0 (min step (hi env - (v - step))))
-                      ~stride:(stride_rt s var)
-                      ~desc;
+                      ~first:(shifted sub stride (-step))
+                      ~count:(fun f ->
+                        let v = f.(sv) in
+                        if v - step < lo f then 0
+                        else max 0 (min step (hi f - (v - step))))
+                      ~stride ~desc;
                   priority;
                 }
             in
-            (* Epilogue: the final step's data. *)
-            let last_start env =
-              let l = lo env and h = hi env in
+            (* Epilogue: the final step's data, [var] pinned to its start. *)
+            let last_start f =
+              let l = lo f and h = hi f in
               if h <= l then l else l + ((h - l - 1) / step * step)
             in
             let epi_d =
@@ -179,10 +229,9 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
                 {
                   dir =
                     mk_dir ctx ~array
-                      ~first:(sub_at_rt s var last_start)
-                      ~count:(fun env -> max 0 (hi env - last_start env))
-                      ~stride:(stride_rt s var)
-                      ~desc:(desc ^ " epilogue");
+                      ~first:(with_binding sv last_start sub)
+                      ~count:(fun f -> max 0 (hi f - last_start f))
+                      ~stride ~desc:(desc ^ " epilogue");
                   priority;
                 }
             in
@@ -212,14 +261,14 @@ let touches_for ctx ~chunk_count (ba : A.body_ann) =
             Pir.P_touch
               {
                 array = r.Ir.r_array;
-                first = sub_rt s;
+                first = sub_rt ctx s;
                 count = chunk_count;
                 stride =
                   (match ba.A.ba_path with
                   | [] -> rt_const 0
                   | path ->
                       let inner = (List.nth path (List.length path - 1)).Ir.l_var in
-                      stride_rt s inner);
+                      stride_rt ctx s inner);
                 write = r.Ir.r_write;
               };
           ]
@@ -229,8 +278,8 @@ let touches_for ctx ~chunk_count (ba : A.body_ann) =
               {
                 array = r.Ir.r_array;
                 count =
-                  (fun env ->
-                    let c = chunk_count env in
+                  (fun f ->
+                    let c = chunk_count f in
                     if c <= 0 then 0 else (c + every - 1) / every);
                 write = r.Ir.r_write;
                 lookahead = 64;
@@ -275,7 +324,8 @@ let rec direct_bodies = function
 let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
   ctx.stats.Pir.gs_chunk_loops <- ctx.stats.Pir.gs_chunk_loops + 1;
   let var = l.Ir.l_var in
-  let lo = rt_bound l.Ir.l_lo and hi = rt_bound l.Ir.l_hi in
+  let sv = slot ctx var in
+  let lo = rt_bound ctx l.Ir.l_lo and hi = rt_bound ctx l.Ir.l_hi in
   let k =
     List.fold_left (fun acc b -> min acc (elems_per_page ctx b.A.ba_body)) max_int
       bodies
@@ -289,10 +339,7 @@ let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
   ctx.stats.Pir.gs_prefetch_distance <-
     max ctx.stats.Pir.gs_prefetch_distance dist_chunks;
   let dist = dist_chunks * k in
-  let chunk_count env =
-    let v = Hashtbl.find env var in
-    max 0 (min k (hi env - v))
-  in
+  let chunk_count f = max 0 (min k (hi f - f.(sv))) in
   let all_pro = ref [] and all_steady_pf = ref [] in
   let all_steady_rel = ref [] and all_epi = ref [] in
   let all_touches = ref [] in
@@ -308,7 +355,10 @@ let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
       all_touches :=
         !all_touches
         @ touches_for ctx ~chunk_count ba
-        @ [ Pir.P_compute { ns = (fun env -> chunk_count env * ba.A.ba_body.Ir.work_ns_per_iter) } ])
+        @ [
+            (let work = ba.A.ba_body.Ir.work_ns_per_iter in
+             Pir.P_compute { ns = (fun f -> chunk_count f * work) });
+          ])
     bodies;
   Pir.P_seq
     (!all_pro
@@ -316,6 +366,7 @@ let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
         Pir.P_loop
           {
             var;
+            slot = sv;
             lo;
             hi;
             step = k;
@@ -339,14 +390,16 @@ let rec gen ctx ~(depth : int) (ann : A.ann_stmt) =
   match ann with
   | A.A_body ba ->
       (* A body outside any loop: touch everything once. *)
-      let one env = ignore env; 1 in
       Pir.P_seq
-        (touches_for ctx ~chunk_count:one ba
-        @ [ Pir.P_compute { ns = (fun _ -> ba.A.ba_body.Ir.work_ns_per_iter) } ])
+        (touches_for ctx ~chunk_count:(rt_const 1) ba
+        @ [ Pir.P_compute { ns = rt_const ba.A.ba_body.Ir.work_ns_per_iter } ])
   | A.A_seq ss -> Pir.P_seq (List.map (gen ctx ~depth) ss)
   | A.A_call (name, binds) ->
       Pir.P_call
-        { proc = name; binds = List.map (fun (p, b) -> (p, rt_bound b)) binds }
+        {
+          proc = name;
+          binds = List.map (fun (p, b) -> (slot ctx p, rt_bound ctx b)) binds;
+        }
   | A.A_loop (l, child) -> (
       match direct_bodies child with
       | Some bodies -> wrap_invariants ctx ~depth l child (gen_chunk_loop ctx l bodies)
@@ -354,7 +407,7 @@ let rec gen ctx ~(depth : int) (ann : A.ann_stmt) =
           (* Element loop: place directives for references that advance at
              this level around the child statement. *)
           let var = l.Ir.l_var in
-          let lo = rt_bound l.Ir.l_lo and hi = rt_bound l.Ir.l_hi in
+          let lo = rt_bound ctx l.Ir.l_lo and hi = rt_bound ctx l.Ir.l_hi in
           let sites =
             List.concat_map (fun ba -> sites_advancing ba var) (bodies_in child)
           in
@@ -363,7 +416,8 @@ let rec gen ctx ~(depth : int) (ann : A.ann_stmt) =
           let inner = gen ctx ~depth:(depth + 1) child in
           let body = Pir.P_seq (steady_pf @ [ inner ] @ steady_rel) in
           wrap_invariants ctx ~depth l child
-            (Pir.P_seq (pro @ [ Pir.P_loop { var; lo; hi; step = 1; body } ] @ epi)))
+            (Pir.P_seq
+               (pro @ [ Pir.P_loop { var; slot = slot ctx var; lo; hi; step = 1; body } ] @ epi)))
 
 (* At the root of a nest, add one-shot prefetch/release for references that
    never advance inside it. *)
@@ -382,7 +436,7 @@ and wrap_invariants ctx ~depth l child pstmt =
             if emit_prefetch ctx && ra.A.ra_is_leader then begin
               ctx.stats.Pir.gs_prefetch_sites <- ctx.stats.Pir.gs_prefetch_sites + 1;
               Pir.P_prefetch
-                (mk_dir ctx ~array ~first:(sub_rt s) ~count:(rt_const 1)
+                (mk_dir ctx ~array ~first:(sub_rt ctx s) ~count:(rt_const 1)
                    ~stride:(rt_const 0)
                    ~desc:(array ^ " invariant"))
               :: pre
@@ -398,7 +452,7 @@ and wrap_invariants ctx ~depth l child pstmt =
                 Pir.P_release
                   {
                     dir =
-                      mk_dir ctx ~array ~first:(sub_rt s) ~count:(rt_const 1)
+                      mk_dir ctx ~array ~first:(sub_rt ctx s) ~count:(rt_const 1)
                         ~stride:(rt_const 0)
                         ~desc:(array ^ " invariant");
                     priority = d.A.da_priority;
@@ -412,7 +466,7 @@ and wrap_invariants ctx ~depth l child pstmt =
     Pir.P_seq (pre @ [ pstmt ] @ post)
   end
 
-let compile ?(conservative = false) ~variant (ann : A.t) =
+let compile ?(conservative = false) ~variant ~inputs (ann : A.t) =
   let stats =
     {
       Pir.gs_prefetch_sites = 0;
@@ -429,6 +483,8 @@ let compile ?(conservative = false) ~variant (ann : A.t) =
       conservative;
       stats;
       next_tag = 0;
+      slots = [];
+      nslots = 0;
     }
   in
   let main = gen ctx ~depth:0 ann.A.ap_main in
@@ -436,7 +492,8 @@ let compile ?(conservative = false) ~variant (ann : A.t) =
   {
     Pir.px_name = ann.A.ap_prog.Ir.prog_name;
     px_arrays = ann.A.ap_prog.Ir.arrays;
-    px_params = ann.A.ap_prog.Ir.assumptions;
+    px_slots = Array.of_list (List.rev ctx.slots);
+    px_inputs = inputs;
     px_main = main;
     px_procs = procs;
     px_variant = variant;

@@ -17,9 +17,14 @@ val prefetch_distance_chunks :
 (** ceil(fault latency / chunk time), clamped to [1, 64]. *)
 
 val compile :
-  ?conservative:bool -> variant:Pir.variant -> Analysis.t -> Pir.prog
+  ?conservative:bool ->
+  variant:Pir.variant ->
+  inputs:string list ->
+  Analysis.t ->
+  Pir.prog
 (** [conservative] follows the idealized rule of section 2.3.2 (no
     directives for references whose reuse provably fits in memory); the
     default [false] matches the paper's implementation, which inserts
     releases "far more aggressively" and lets the run-time layer arbitrate
-    (section 3.2). *)
+    (section 3.2).  [inputs] are the program's inputs as {!Ir.validate}
+    found them, recorded in [px_inputs]. *)

@@ -130,12 +130,63 @@ let array_pages prog env ~page_bytes name =
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let validate prog =
-  let errors = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
+(* Where a name is read, for error messages (rendered only on error). *)
+type site =
+  | In_size of string  (* array *)
+  | In_bound of string  (* loop variable *)
+  | In_subscript of string  (* array *)
+  | In_binding of string * string  (* procedure, formal *)
+
+let describe = function
+  | In_size a -> "size of array " ^ a
+  | In_bound v -> "loop bound of " ^ v
+  | In_subscript a -> "subscript of " ^ a
+  | In_binding (p, f) -> Printf.sprintf "call %s binding %s" p f
+
+(* Apply [f] to each name an expression reads. *)
+let iter_bound f b = List.iter (fun (p, _) -> f p) b.bt
+
+let iter_subscript f s =
+  List.iter (fun (p, _) -> f p) s.sp;
+  List.iter (function _, C_const _ -> () | _, (C_param p | C_opaque p) -> f p) s.st
+
+(* Walk every statement with its scope, reporting structural errors and
+   each name that is neither an enclosing loop variable nor a procedure
+   formal bound at every call site: such a name must be a declared
+   parameter, and a run must supply it. *)
+let check prog =
+  let errors = ref [] and inputs = ref [] in
+  let err fmt =
+    Format.kasprintf
+      (fun s -> if not (List.mem s !errors) then errors := s :: !errors)
+      fmt
+  in
   let arrays = List.map (fun a -> a.a_name) prog.arrays in
   let proc_names = List.map (fun p -> p.p_name) prog.procs in
-  let check_ref bound_vars r =
+  let params = List.map fst prog.assumptions in
+  let use_param site name =
+    if List.mem name params then begin
+      if not (List.mem name !inputs) then inputs := name :: !inputs
+    end
+    else err "%s uses undeclared name %s" (describe site) name
+  in
+  (* A proc's formals: the names every one of its call sites binds. *)
+  let call_sites = ref [] in
+  let rec calls = function
+    | S_loop l -> calls l.l_body
+    | S_seq ss -> List.iter calls ss
+    | S_body _ -> ()
+    | S_call (name, binds) -> call_sites := (name, List.map fst binds) :: !call_sites
+  in
+  calls prog.main;
+  List.iter (fun p -> calls p.p_body) prog.procs;
+  let formals name =
+    match List.filter_map (fun (n, b) -> if n = name then Some b else None) !call_sites with
+    | [] -> []
+    | first :: rest ->
+        List.filter (fun v -> List.for_all (List.mem v) rest) first
+  in
+  let check_ref use bound_vars r =
     if not (List.mem r.r_array arrays) then err "unknown array %s" r.r_array;
     match r.r_access with
     | Direct s ->
@@ -143,28 +194,45 @@ let validate prog =
           (fun (v, _) ->
             if not (List.mem v bound_vars) then
               err "subscript of %s uses unbound loop variable %s" r.r_array v)
-          s.st
+          s.st;
+        iter_subscript (use (In_subscript r.r_array)) s
     | Indirect { via; _ } ->
         if not (List.mem via arrays) then
           err "indirect reference to %s through unknown index array %s" r.r_array via
   in
-  let rec check_stmt bound_vars = function
+  let rec check_stmt ~formals bound_vars stmt =
+    let use site name =
+      if not (List.mem name bound_vars || List.mem name formals) then
+        use_param site name
+    in
+    match stmt with
     | S_loop l ->
         if List.mem l.l_var bound_vars then
           err "loop variable %s shadows an enclosing loop" l.l_var;
-        check_stmt (l.l_var :: bound_vars) l.l_body
-    | S_seq stmts -> List.iter (check_stmt bound_vars) stmts
+        iter_bound (use (In_bound l.l_var)) l.l_lo;
+        iter_bound (use (In_bound l.l_var)) l.l_hi;
+        check_stmt ~formals (l.l_var :: bound_vars) l.l_body
+    | S_seq stmts -> List.iter (check_stmt ~formals bound_vars) stmts
     | S_body b ->
         if b.work_ns_per_iter < 0 then err "negative work per iteration";
-        List.iter (check_ref bound_vars) b.refs
-    | S_call (name, _) ->
-        if not (List.mem name proc_names) then err "unknown procedure %s" name
+        List.iter (check_ref use bound_vars) b.refs
+    | S_call (name, binds) ->
+        if not (List.mem name proc_names) then err "unknown procedure %s" name;
+        List.iter
+          (fun (p, b) -> iter_bound (use (In_binding (name, p))) b)
+          binds
   in
-  check_stmt [] prog.main;
-  List.iter (fun p -> check_stmt [] p.p_body) prog.procs;
-  match !errors with
-  | [] -> Ok prog.prog_name
-  | errs -> Error (String.concat "; " (List.rev errs))
+  List.iter
+    (fun a -> iter_bound (use_param (In_size a.a_name)) a.a_size_elems)
+    prog.arrays;
+  check_stmt ~formals:[] [] prog.main;
+  List.iter (fun p -> check_stmt ~formals:(formals p.p_name) [] p.p_body) prog.procs;
+  (List.rev !errors, List.sort_uniq compare !inputs)
+
+let validate prog =
+  match check prog with
+  | [], inputs -> Ok inputs
+  | errs, _ -> Error (String.concat "; " errs)
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)

@@ -33,7 +33,9 @@ val add : bound -> bound -> bound
 val add_const : bound -> int -> bound
 
 type env = (string, int) Hashtbl.t
-(** Runtime values of parameters and loop variables. *)
+(** Values of parameters and loop variables by name.  Only cold paths
+    (array sizing, tests) evaluate by name; compiled code reads the slot
+    frame of {!Pir.frame}. *)
 
 val env_of_list : (string * int) list -> env
 val eval_bound : env -> bound -> int
@@ -71,10 +73,6 @@ val direct :
   ?off:int -> ?param_off:(string * int) list -> string ->
   (string * coef) list -> write:bool -> ref_
 val indirect : ?every:int -> string -> via:string -> write:bool -> ref_
-
-val coef_value : env -> coef -> int
-(** Runtime value of a stride coefficient (opaque and parameter strides are
-    looked up in the environment). *)
 
 val eval_subscript : env -> subscript -> int
 (** Element index given runtime values; opaque coefficients are looked up
@@ -138,9 +136,16 @@ val find_proc : program -> string -> proc
 val array_pages : program -> env -> page_bytes:int -> string -> int
 (** Size of an array in pages under runtime parameter values. *)
 
-val validate : program -> (string, string) result
+val validate : program -> (string list, string) result
 (** Static sanity checks: referenced arrays/procedures exist, loop variables
-    are bound by enclosing loops, indirect index arrays exist. *)
+    are bound by enclosing loops, indirect index arrays exist, and every
+    other name read — in loop bounds, parameter offsets, [C_param] and
+    [C_opaque] coefficients, call bindings and array sizes — is an
+    enclosing loop variable, a procedure formal bound at every call site of
+    that procedure, or a declared parameter ([assumptions]).  [Ok] carries
+    the program's inputs: the declared parameters a run must supply, being
+    read outside the scope of any loop variable or formal of the same name
+    (array sizes included), sorted. *)
 
 val pp_program : Format.formatter -> program -> unit
 val pp_stmt : Format.formatter -> stmt -> unit

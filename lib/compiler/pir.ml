@@ -1,4 +1,5 @@
-type rt = Ir.env -> int
+type frame = int array
+type rt = frame -> int
 
 type directive = {
   d_array : string;
@@ -11,7 +12,7 @@ type directive = {
 
 type pstmt =
   | P_seq of pstmt list
-  | P_loop of { var : string; lo : rt; hi : rt; step : int; body : pstmt }
+  | P_loop of { var : string; slot : int; lo : rt; hi : rt; step : int; body : pstmt }
   | P_touch of { array : string; first : rt; count : rt; stride : rt; write : bool }
   | P_compute of { ns : rt }
   | P_prefetch of directive
@@ -24,7 +25,7 @@ type pstmt =
       prefetch : bool;
       stream : int;
     }
-  | P_call of { proc : string; binds : (string * rt) list }
+  | P_call of { proc : string; binds : (int * rt) list }
 
 type variant = V_original | V_prefetch | V_release
 
@@ -48,7 +49,8 @@ type gen_stats = {
 type prog = {
   px_name : string;
   px_arrays : Ir.array_decl list;
-  px_params : (string * int option) list;
+  px_slots : string array;
+  px_inputs : string list;
   px_main : pstmt;
   px_procs : (string * pstmt) list;
   px_variant : variant;
@@ -59,6 +61,14 @@ let find_proc prog name =
   match List.assoc_opt name prog.px_procs with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Pir: unknown procedure %s" name)
+
+let slot prog name =
+  let rec go i =
+    if i >= Array.length prog.px_slots then None
+    else if prog.px_slots.(i) = name then Some i
+    else go (i + 1)
+  in
+  go 0
 
 type site_kind = S_prefetch | S_release
 

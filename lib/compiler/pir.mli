@@ -5,13 +5,20 @@
     calls scheduled by software pipelining (Figure 5 shows the corresponding
     source-level output of the real compiler).
 
-    Index expressions are runtime closures over an environment binding loop
-    variables and program parameters, so a single compiled program can be
-    run with different runtime parameter values — which is exactly how
-    MGRID ends up with suboptimal releases: one compiled version, many
-    bindings. *)
+    Index expressions are runtime closures over a frame holding the values
+    of loop variables, procedure formals and program parameters, so a
+    single compiled program can be run with different runtime parameter
+    values — which is exactly how MGRID ends up with suboptimal releases:
+    one compiled version, many bindings.
 
-type rt = Ir.env -> int
+    The compiler gives every name a program reads or binds one slot of the
+    frame ([px_slots]) and resolves each name to its slot once, at compile
+    time: evaluating an index expression is a few array loads. *)
+
+type frame = int array
+(** Slot [i] holds the current value of the name [px_slots.(i)]. *)
+
+type rt = frame -> int
 
 type directive = {
   d_array : string;
@@ -24,7 +31,8 @@ type directive = {
 
 type pstmt =
   | P_seq of pstmt list
-  | P_loop of { var : string; lo : rt; hi : rt; step : int; body : pstmt }
+  | P_loop of { var : string; slot : int; lo : rt; hi : rt; step : int; body : pstmt }
+      (** [var] lives in frame slot [slot] while the loop runs *)
   | P_touch of { array : string; first : rt; count : rt; stride : rt; write : bool }
       (** reference the pages covering [first + k*stride | 0 <= k < count] *)
   | P_compute of { ns : rt }
@@ -39,7 +47,9 @@ type pstmt =
       stream : int;        (** stable stream id: the same random index
                                sequence is drawn in every variant *)
     }
-  | P_call of { proc : string; binds : (string * rt) list }
+  | P_call of { proc : string; binds : (int * rt) list }
+      (** bind each formal's slot to its value, evaluated in the caller's
+          frame, for the duration of the call *)
 
 type variant = V_original | V_prefetch | V_release
 
@@ -58,7 +68,9 @@ type gen_stats = {
 type prog = {
   px_name : string;
   px_arrays : Ir.array_decl list;
-  px_params : (string * int option) list;  (** assumptions, for reference *)
+  px_slots : string array;  (** frame layout: the name held by each slot *)
+  px_inputs : string list;
+      (** parameters a run must supply ({!Ir.validate}), array sizes included *)
   px_main : pstmt;
   px_procs : (string * pstmt) list;
   px_variant : variant;
@@ -66,6 +78,9 @@ type prog = {
 }
 
 val find_proc : prog -> string -> pstmt
+
+val slot : prog -> string -> int option
+(** The frame slot of a name, if the program reads or binds it. *)
 
 type site_kind = S_prefetch | S_release
 

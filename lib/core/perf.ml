@@ -39,23 +39,25 @@ type t = {
   p_cells : cell_result list;
 }
 
-(* GC counters are per-domain in OCaml 5, so the deltas must bracket the
-   run inside the worker that executes it — measuring from the main domain
-   would read the wrong heap. *)
+(* The deltas bracket the run inside the worker that executes it.  Minor
+   words come from [Gc.minor_words], which counts this domain's
+   allocation exactly; [Gc.quick_stat] adds other domains' last-sampled
+   counters, which lets earlier pools in the same process leak into the
+   figure the gate holds to a ceiling. *)
 let run_cell ~machine ~ledger (c : cell) =
   let wl = Workload.find c.pc_workload in
   let s =
     E.setup ~machine ~workload:wl ~variant:c.pc_variant ~ledger_on:ledger ()
   in
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r = E.run s in
   let wall = Unix.gettimeofday () -. t0 in
-  let g1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
   let events = r.E.r_events_executed in
   let faults = r.E.r_app_stats.VS.hard_faults + r.E.r_app_stats.VS.soft_faults in
   let per_sec n = if wall > 0.0 then float_of_int n /. wall else 0.0 in
-  let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
+  let minor_words = w1 -. w0 in
   {
     pr_label = Printf.sprintf "%s/%s" c.pc_workload (E.variant_name c.pc_variant);
     pr_events = events;

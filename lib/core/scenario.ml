@@ -452,13 +452,35 @@ let obs =
 (* perf: wall-clock throughput, work counters gated                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Always one job: per-cell wall-clock and GC numbers only mean something
-   when each cell runs alone on a domain (Gc.quick_stat aggregates
-   minor_words across domains).  The gated work counters are
-   jobs-independent either way. *)
+(* The most minor words per event each cell may allocate: the figure
+   measured with OCaml 5.1.1 when the interpreter stopped allocating per
+   page, times 1.15.  The headroom covers the spread of up to 5% between
+   5.1.1 and 5.2 seen in the committed PERF baseline; CI runs 5.2. *)
+let words_per_event_ceilings =
+  [ ("MATVEC/O", 16.22); ("MATVEC/R", 17.30); ("EMBAR/B", 23.58); ("CGM/P", 15.92) ]
+
+let check_words_per_event (p : Perf.t) =
+  List.iter
+    (fun (c : Perf.cell_result) ->
+      match List.assoc_opt c.Perf.pr_label words_per_event_ceilings with
+      | None ->
+          failwith
+            (Printf.sprintf "perf cell %s has no words/event ceiling" c.Perf.pr_label)
+      | Some ceiling ->
+          require
+            (c.Perf.pr_minor_words_per_event <= ceiling)
+            (Printf.sprintf
+               "perf cell %s: %.2f minor words/event exceeds its ceiling %.2f"
+               c.Perf.pr_label c.Perf.pr_minor_words_per_event ceiling))
+    p.Perf.p_cells
+
+(* Always one job: per-cell wall-clock numbers only mean something when
+   each cell runs alone.  The gated work counters are jobs-independent
+   either way. *)
 let perf =
   make ~name:"perf" ~cells:"MATVEC/O, MATVEC/R, EMBAR/B, CGM/P, ledger off"
     ~baseline:("PERF", Perf.to_json) ~project:Perf.work_projection
+    ~assertions:[ ("minor words/event within each cell's ceiling", check_words_per_event) ]
     ~report:Perf.render
     (fun ~machine ~jobs:_ ~log:_ -> Perf.run ~machine ~jobs:1 ())
 

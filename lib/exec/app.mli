@@ -27,13 +27,18 @@ val create :
 (** The runtime policy only matters for [V_release] programs: Aggressive
     gives the paper's R bars, Buffered the B bars.  [governor] enables the
     run-time layer's graceful-degradation governor (see
-    {!Memhog_runtime.Runtime.governor_cfg}). *)
+    {!Memhog_runtime.Runtime.governor_cfg}).
+
+    Every name is resolved here, once: the parameters fill the program's
+    frame slots, each statement's array becomes its segment and each
+    indirect reference its stream.
+    @raise Invalid_argument naming the parameter when [params] lacks one of
+    the program's inputs ({!Memhog_compiler.Pir.prog}[.px_inputs]), or
+    naming the array or procedure when a statement refers to one the
+    program does not declare. *)
 
 val asp : t -> Memhog_vm.Address_space.t
 val runtime : t -> Memhog_runtime.Runtime.t
-val env : t -> Memhog_compiler.Ir.env
-
-val segment_of_array : t -> string -> Memhog_vm.Address_space.segment
 
 val run : t -> iterations:int -> unit
 (** Interpret the whole program [iterations] times.  Must be called from

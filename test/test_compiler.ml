@@ -75,6 +75,135 @@ let test_validate_catches_errors () =
   | Ok _ -> Alcotest.fail "expected validation failure"
 
 (* ------------------------------------------------------------------ *)
+(* Scope: every name read is bound, checked before anything runs       *)
+(* ------------------------------------------------------------------ *)
+
+let scope_prog ?(assumptions = []) ?(procs = []) main =
+  {
+    Ir.prog_name = "scope";
+    arrays = [ Ir.array_decl "a" ~size:(Ir.cst 65536) ];
+    assumptions;
+    procs;
+    main;
+  }
+
+let sweep_a ?(hi = Ir.cst 64) refs =
+  Ir.loop ~var:"i" ~lo:(Ir.cst 0) ~hi (Ir.S_body { Ir.refs; work_ns_per_iter = 1 })
+
+let read_a ?param_off terms = Ir.direct ?param_off "a" terms ~write:false
+let unit_stride = [ ("i", Ir.C_const 1) ]
+
+let expect_scope_error prog needle =
+  match Ir.validate prog with
+  | Error msg ->
+      if not (contains msg needle) then
+        Alcotest.failf "error %S does not mention %S" msg needle
+  | Ok _ -> Alcotest.failf "expected a scope error mentioning %S" needle
+
+let expect_valid prog ~inputs =
+  match Ir.validate prog with
+  | Ok got -> Alcotest.(check (list string)) "inputs" inputs got
+  | Error msg -> Alcotest.failf "unexpected validation error: %s" msg
+
+let test_scope_loop_bounds () =
+  let main = sweep_a ~hi:(Ir.param "NX") [ read_a unit_stride ] in
+  expect_scope_error (scope_prog main) "loop bound of i uses undeclared name NX";
+  expect_valid (scope_prog ~assumptions:[ ("NX", None) ] main) ~inputs:[ "NX" ]
+
+let test_scope_param_offsets () =
+  let main = sweep_a [ read_a ~param_off:[ ("BASE", 1) ] unit_stride ] in
+  expect_scope_error (scope_prog main) "subscript of a uses undeclared name BASE";
+  expect_valid (scope_prog ~assumptions:[ ("BASE", Some 0) ] main) ~inputs:[ "BASE" ]
+
+let test_scope_coefficients () =
+  let outer body = Ir.loop ~var:"j" ~lo:(Ir.cst 0) ~hi:(Ir.cst 4) body in
+  let main =
+    outer (sweep_a [ read_a [ ("j", Ir.C_param "ROW"); ("i", Ir.C_opaque "STEP") ] ])
+  in
+  expect_scope_error (scope_prog main) "subscript of a uses undeclared name ROW";
+  expect_scope_error (scope_prog main) "subscript of a uses undeclared name STEP";
+  expect_valid
+    (scope_prog ~assumptions:[ ("ROW", None); ("STEP", None) ] main)
+    ~inputs:[ "ROW"; "STEP" ]
+
+let test_scope_call_bindings () =
+  let proc =
+    { Ir.p_name = "p"; p_body = sweep_a ~hi:(Ir.param "N") [ read_a unit_stride ] }
+  in
+  let main = Ir.S_call ("p", [ ("N", Ir.add_const (Ir.param "M") 1) ]) in
+  expect_scope_error (scope_prog ~procs:[ proc ] main)
+    "call p binding N uses undeclared name M";
+  expect_valid (scope_prog ~assumptions:[ ("M", None) ] ~procs:[ proc ] main)
+    ~inputs:[ "M" ]
+
+let test_scope_formals_bound_at_every_call () =
+  let proc =
+    { Ir.p_name = "p"; p_body = sweep_a ~hi:(Ir.param "N") [ read_a unit_stride ] }
+  in
+  let call binds = Ir.S_call ("p", binds) in
+  let bound = call [ ("N", Ir.cst 8) ] in
+  (* a formal every call site binds needs no parameter *)
+  expect_valid (scope_prog ~procs:[ proc ] (Ir.S_seq [ bound; bound ])) ~inputs:[];
+  (* one call site leaving it unbound makes it a free name of the body *)
+  let mixed = Ir.S_seq [ bound; call [] ] in
+  expect_scope_error (scope_prog ~procs:[ proc ] mixed)
+    "loop bound of i uses undeclared name N";
+  expect_valid (scope_prog ~assumptions:[ ("N", None) ] ~procs:[ proc ] mixed)
+    ~inputs:[ "N" ]
+
+let test_scope_array_sizes () =
+  let prog size =
+    { (scope_prog (sweep_a [ read_a unit_stride ])) with
+      Ir.arrays = [ Ir.array_decl "a" ~size ] }
+  in
+  expect_scope_error (prog (Ir.param "LEN")) "size of array a uses undeclared name LEN";
+  expect_valid
+    { (prog (Ir.param "LEN")) with Ir.assumptions = [ ("LEN", Some 4096) ] }
+    ~inputs:[ "LEN" ]
+
+(* App.create resolves every name before the program runs: a missing
+   parameter or an unknown array is refused by name, not met mid-run. *)
+let with_os f =
+  let engine = Memhog_sim.Engine.create () in
+  let config =
+    { Memhog_vm.Config.default with Memhog_vm.Config.total_frames = 128; desfree = 16 }
+  in
+  f (Memhog_vm.Os.create ~config ~engine ())
+
+let expect_invalid_arg needle f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument mentioning %S" needle
+  | exception Invalid_argument msg ->
+      if not (contains msg needle) then
+        Alcotest.failf "message %S does not mention %S" msg needle
+
+let test_app_rejects_missing_parameter () =
+  let prog =
+    Compile.compile ~target ~variant:Pir.V_original
+      (scope_prog ~assumptions:[ ("NX", None) ]
+         (sweep_a ~hi:(Ir.param "NX") [ read_a unit_stride ]))
+  in
+  with_os (fun os ->
+      expect_invalid_arg "parameter NX" (fun () ->
+          Memhog_exec.App.create ~os ~params:[] prog))
+
+let test_app_rejects_unknown_array () =
+  let prog =
+    Compile.compile ~target ~variant:Pir.V_original
+      (scope_prog (sweep_a [ read_a unit_stride ]))
+  in
+  let rec rename = function
+    | Pir.P_seq ss -> Pir.P_seq (List.map rename ss)
+    | Pir.P_loop l -> Pir.P_loop { l with body = rename l.body }
+    | Pir.P_touch t -> Pir.P_touch { t with array = "nope" }
+    | s -> s
+  in
+  let prog = { prog with Pir.px_main = rename prog.Pir.px_main } in
+  with_os (fun os ->
+      expect_invalid_arg "unknown array nope" (fun () ->
+          Memhog_exec.App.create ~os ~params:[] prog))
+
+(* ------------------------------------------------------------------ *)
 (* A reusable matvec program (the paper's Figure 5 kernel)             *)
 (* ------------------------------------------------------------------ *)
 
@@ -444,8 +573,12 @@ let test_all_workloads_compile () =
         w.Memhog_workloads.Workload.w_make ~mem_bytes:(75 * 1024 * 1024)
           ~page_bytes:16384
       in
+      (* every input has a runtime value *)
       (match Ir.validate prog with
-      | Ok _ -> ()
+      | Ok inputs ->
+          List.iter
+            (fun p -> check_bool ("input " ^ p ^ " supplied") true (List.mem_assoc p params))
+            inputs
       | Error e ->
           Alcotest.failf "%s fails validation: %s" w.Memhog_workloads.Workload.w_name e);
       List.iter
@@ -453,7 +586,6 @@ let test_all_workloads_compile () =
           let compiled = Compile.compile ~target ~variant:v prog in
           check_bool "main generated" true (compiled.Pir.px_main <> Pir.P_seq []))
         Compile.all_variants;
-      (* all declared parameters have runtime values *)
       let env = Ir.env_of_list params in
       List.iter
         (fun (a : Ir.array_decl) ->
@@ -486,6 +618,20 @@ let () =
           Alcotest.test_case "opaque coefficients" `Quick
             test_opaque_eval_uses_runtime_value;
           Alcotest.test_case "validation" `Quick test_validate_catches_errors;
+        ] );
+      ( "scope",
+        [
+          Alcotest.test_case "loop bounds" `Quick test_scope_loop_bounds;
+          Alcotest.test_case "parameter offsets" `Quick test_scope_param_offsets;
+          Alcotest.test_case "stride coefficients" `Quick test_scope_coefficients;
+          Alcotest.test_case "call bindings" `Quick test_scope_call_bindings;
+          Alcotest.test_case "array sizes" `Quick test_scope_array_sizes;
+          Alcotest.test_case "formals bound at every call" `Quick
+            test_scope_formals_bound_at_every_call;
+          Alcotest.test_case "app rejects missing parameter" `Quick
+            test_app_rejects_missing_parameter;
+          Alcotest.test_case "app rejects unknown array" `Quick
+            test_app_rejects_unknown_array;
         ] );
       ( "reuse",
         [

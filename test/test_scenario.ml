@@ -156,6 +156,30 @@ let test_figures_runs_only_selected () =
   let rc, _ = figures_sections "no-such-figure" in
   check_bool "unknown id is refused" true (rc <> 0)
 
+(* Every verb's help renders cleanly: exit 0 and no cmdliner complaint
+   about its own doc strings (such as an illegal escape) on stderr. *)
+let verbs =
+  [
+    "list"; "machine"; "compile"; "run"; "sweep"; "figures"; "serve"; "tiers";
+    "report"; "compare"; "top"; "audit"; "perf"; "gate";
+  ]
+
+let test_help_renders () =
+  List.iter
+    (fun verb ->
+      let err = Filename.temp_file "memhog-help" ".err" in
+      let rc =
+        Sys.command
+          (Printf.sprintf "../bin/memhog_cli.exe %s --help=plain > /dev/null 2> %s"
+             verb (Filename.quote err))
+      in
+      let stderr = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove err;
+      check_int (verb ^ " --help exit code") 0 rc;
+      check_bool (verb ^ " --help: no cmdliner error") false
+        (contains stderr "cmdliner error"))
+    verbs
+
 let () =
   Alcotest.run "memhog_scenario"
     [
@@ -173,5 +197,6 @@ let () =
             test_raising_assertion_fails_gate;
           Alcotest.test_case "figures runs only the selected ids" `Quick
             test_figures_runs_only_selected;
+          Alcotest.test_case "every verb's --help renders" `Quick test_help_renders;
         ] );
     ]
