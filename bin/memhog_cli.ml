@@ -437,7 +437,7 @@ let run_cmd =
             r.Experiment.r_workload
             (Experiment.variant_name r.Experiment.r_variant)
         in
-        Metrics_io.write_file ~path (Metrics.of_results ~label [ r ]);
+        Metrics_io.write_json ~path (Metrics.of_results ~label [ r ]);
         Format.printf "metrics written to %s@." path
     | None -> ());
     Format.printf "invariants: %s@."
@@ -624,7 +624,7 @@ let figures_cmd =
         ids;
       Option.iter
         (fun path ->
-          Metrics_io.write_file ~path (Metrics.of_matrix (Lazy.force matrix));
+          Metrics_io.write_json ~path (Metrics.of_matrix (Lazy.force matrix));
           log ("wrote " ^ path))
         metrics;
       0
@@ -735,7 +735,7 @@ let serve_cmd =
       trace;
     Option.iter
       (fun path ->
-        Metrics_io.write_file ~path
+        Metrics_io.write_json ~path
           (Metrics.of_results ~label:(Serve.label t) (Serve.results t));
         Format.printf "metrics written to %s@." path)
       metrics;
@@ -786,7 +786,7 @@ let tiers_cmd =
     print_string (Tier_exp.render t);
     Option.iter
       (fun path ->
-        Metrics_io.write_file ~path
+        Metrics_io.write_json ~path
           (Metrics.of_results ~label:(Tier_exp.label t) (Tier_exp.results t));
         Format.printf "metrics written to %s@." path)
       metrics;
@@ -827,7 +827,7 @@ let report_cmd =
             Format.eprintf "memhog report: %s@." e;
             rc := 1
         | Ok j -> (
-            match Metrics_io.render j with
+            match Metrics.render j with
             | Ok text -> print_string text
             | Error e ->
                 Format.eprintf "memhog report: %s: %s@." path e;
@@ -856,9 +856,19 @@ let compare_cmd =
       & info [] ~docv:"CURRENT" ~doc:"Current metrics JSON file.")
   in
   let tolerance =
+    let pct =
+      let parse s =
+        match float_of_string_opt s with
+        | Some t when Float.is_finite t && t >= 0.0 -> Ok t
+        | _ ->
+            Error
+              (`Msg (Printf.sprintf "expected a finite, non-negative percentage, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_float)
+    in
     Arg.(
       value
-      & opt float 0.0
+      & opt pct 0.0
       & info [ "tolerance" ] ~docv:"PCT"
           ~doc:
             "Allowed relative drift per numeric field, in percent.  0 \

@@ -54,7 +54,6 @@ let make ~name ~cells ?baseline ?(project = Fun.id) ?(assertions = [])
 
 let baseline_file name = name ^ "_metrics.json"
 let require cond msg = if not cond then failwith msg
-let results_doc ~label rs = Metrics_io.metrics_json (Metrics.of_results ~label rs)
 
 (* ------------------------------------------------------------------ *)
 (* smoke: the MATVEC mini-matrix behind BENCH                          *)
@@ -93,7 +92,7 @@ let write_matrix_json (m : Figures.matrix) ~path =
 
 let smoke =
   make ~name:"smoke" ~cells:"MATVEC x O/P/R/B beside the 5 s interactive task"
-    ~baseline:("BENCH", fun m -> Metrics_io.metrics_json (Metrics.of_matrix m))
+    ~baseline:("BENCH", Metrics.of_matrix)
     ~assertions:
       [
         ( "OS invariants hold in every cell",
@@ -228,7 +227,7 @@ let chaos =
     ~baseline:
       ( "CHAOS",
         fun (machine, rs) ->
-          results_doc
+          Metrics.of_results
             ~label:(Printf.sprintf "chaos scenarios, %s" machine.Machine.m_name)
             rs )
     ~assertions:
@@ -294,7 +293,7 @@ let reconciliation_table rows =
              rows)
         fmt ())
 
-let audit_render r = Metrics_io.to_string (results_doc ~label:"audit" [ r ])
+let audit_render r = Metrics_io.to_string (Metrics.of_results ~label:"audit" [ r ])
 
 let audit =
   make ~name:"audit" ~cells:"EMBAR/B serially, then twice in the worker pool"
@@ -383,7 +382,7 @@ let serve =
   make ~name:"serve"
     ~cells:"KV server beside the MATVEC hog, {O,B} x the machine's knee loads"
     ~baseline:
-      ("SERVE", fun t -> results_doc ~label:(Serve.label t) (Serve.results t))
+      ("SERVE", fun t -> Metrics.of_results ~label:(Serve.label t) (Serve.results t))
     ~assertions:
       [
         ("B's p999 strictly below O's at every load", p999_beats);
@@ -420,7 +419,7 @@ let tiers =
     ~cells:"EMBAR/B over swap/far/zram/far+zram, plus a far partition mid-serve"
     ~baseline:
       ( "TIER",
-        fun t -> results_doc ~label:(Tier_exp.label t) (Tier_exp.results t) )
+        fun t -> Metrics.of_results ~label:(Tier_exp.label t) (Tier_exp.results t) )
     ~assertions:[ ("Tier_exp.check", Tier_exp.check) ]
     ~report:Tier_exp.render
     (fun ~machine ~jobs ~log ->
@@ -431,7 +430,7 @@ let obs =
     ~baseline:
       ( "OBS",
         fun t ->
-          results_doc
+          Metrics.of_results
             ~label:(Printf.sprintf "obs %s" t.Obs_exp.ox_machine.Machine.m_name)
             (Obs_exp.results t) )
     ~assertions:[ ("Obs_exp.check", Obs_exp.check) ]

@@ -163,7 +163,7 @@ let test_grid_additivity_and_books () =
    schema v5) and the rendered blame tables. *)
 let render_metrics t =
   Mio.to_string
-    (Mio.metrics_json (Metrics.of_results ~label:"blame" (Serve.results t)))
+    (Metrics.of_results ~label:"blame" (Serve.results t))
 
 let test_jobs_determinism () =
   let serial = run_grid ~jobs:1 () and pooled = run_grid ~jobs:8 () in

@@ -274,7 +274,7 @@ let test_chaos_metrics_byte_deterministic () =
   let spec = "disk-fault@1s-3s:p=0.5,retries=4;disk-slow@1s-3s:factor=8" in
   let once () =
     let r = run_chaos ~workload:"EMBAR" ~variant:E.B spec in
-    Mio.to_string (Mio.metrics_json (Metrics.of_results ~label:"chaos" [ r ]))
+    Mio.to_string (Metrics.of_results ~label:"chaos" [ r ])
   in
   let a = once () in
   check_bool "faults actually injected" true

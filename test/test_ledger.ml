@@ -24,7 +24,7 @@ let run_cell () =
    equality here is the acceptance criterion "the ledger object is
    byte-identical across --jobs" (and then some). *)
 let render r =
-  Mio.to_string (Mio.metrics_json (Metrics.of_results ~label:"ledger" [ r ]))
+  Mio.to_string (Metrics.of_results ~label:"ledger" [ r ])
 
 let test_jobs_determinism () =
   let serial = render (run_cell ()) in

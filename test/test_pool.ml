@@ -87,7 +87,7 @@ let test_matrix_deterministic_across_jobs () =
   let build jobs =
     Figures.run_matrix ~machine:Machine.quick ~workloads:[ "EMBAR" ] ~jobs ()
   in
-  let render m = Metrics_io.to_string (Metrics_io.metrics_json (Metrics.of_matrix m)) in
+  let render m = Metrics_io.to_string (Metrics.of_matrix m) in
   let serial = build 1 in
   let parallel = build 4 in
   check_int "jobs recorded (serial)" 1 serial.Figures.mx_jobs;

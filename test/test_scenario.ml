@@ -125,6 +125,26 @@ let test_raising_assertion_fails_gate () =
     [ "failure"; "not-found"; "run-raises"; "no-baseline" ]
     (List.map fst failures)
 
+(* [memhog compare --tolerance T] against a copy whose p99s all drifted:
+   a NaN, infinite or negative tolerance is a usage error (cmdliner's exit
+   124), never a silent "metrics match". *)
+let test_compare_refuses_bad_tolerance () =
+  let drifted = Filename.temp_file "memhog-drifted" ".json" in
+  Mio.write_json ~path:drifted (perturb ~key:"p99_ns" (fun v -> v +. 1.0) (load "SERVE"));
+  let compare t =
+    Sys.command
+      (Printf.sprintf
+         "../bin/memhog_cli.exe compare --tolerance=%s %s %s > /dev/null 2>&1" t
+         (Filename.quote (Filename.concat baselines (Scenario.baseline_file "SERVE")))
+         (Filename.quote drifted))
+  in
+  let codes = List.map (fun t -> (t, compare t)) [ "0"; "nan"; "inf"; "-1" ] in
+  Sys.remove drifted;
+  List.iter
+    (fun (t, expected) ->
+      check_int (Printf.sprintf "--tolerance %s exit code" t) expected (List.assoc t codes))
+    [ ("0", 1); ("nan", 124); ("inf", 124); ("-1", 124) ]
+
 (* Section headers the figures verb prints: one line per experiment id,
    between two rules of '='. *)
 let figures_sections args =
@@ -193,6 +213,8 @@ let () =
             test_compare_perturbed_number;
           Alcotest.test_case "compare ignores PERF wall members" `Quick
             test_compare_perf_ignores_wall;
+          Alcotest.test_case "compare refuses a non-finite tolerance" `Quick
+            test_compare_refuses_bad_tolerance;
           Alcotest.test_case "raising scenario fails the gate" `Quick
             test_raising_assertion_fails_gate;
           Alcotest.test_case "figures runs only the selected ids" `Quick

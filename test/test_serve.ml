@@ -24,7 +24,7 @@ let run_grid ~jobs () =
 
 let render t =
   Mio.to_string
-    (Mio.metrics_json (Metrics.of_results ~label:"serve" (Serve.results t)))
+    (Metrics.of_results ~label:"serve" (Serve.results t))
 
 (* The acceptance criterion: the serialized serving metrics (the "serving"
    object with its response histogram included) are byte-identical whether

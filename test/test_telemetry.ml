@@ -256,7 +256,7 @@ let run_cell () =
    equality here is the acceptance criterion "the telemetry object is
    byte-identical at --jobs 1 and --jobs 8" (and then some). *)
 let render r =
-  Mio.to_string (Mio.metrics_json (Metrics.of_results ~label:"telemetry" [ r ]))
+  Mio.to_string (Metrics.of_results ~label:"telemetry" [ r ])
 
 let test_jobs_determinism () =
   let serial = render (run_cell ()) in

@@ -254,8 +254,7 @@ let metrics_bytes ~jobs =
     Memhog_core.Pool.map ~jobs (fun _ -> tiered_cell ()) [ 0; 1 ]
   in
   Memhog_core.Metrics_io.to_string
-    (Memhog_core.Metrics_io.metrics_json
-       (Memhog_core.Metrics.of_results ~label:"tiered chaos" results))
+    (Memhog_core.Metrics.of_results ~label:"tiered chaos" results)
 
 let test_tiered_cell_bytes_jobs_independent () =
   Alcotest.(check string)
