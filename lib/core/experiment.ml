@@ -186,9 +186,10 @@ let run (s : setup) =
     | Some spec -> Chaos.create ~seed:m.Machine.m_seed spec
     | None -> Chaos.none
   in
-  (* The lifecycle ledger is on by default: it is cheap (hash-table updates
-     at emit points, no simulated-time interaction) and private to this
-     cell, so its summary is byte-identical at any --jobs level.  The perf
+  (* The lifecycle ledger is on by default: it is cheap (packed-int array
+     updates at emit points, no allocation once its arrays have grown, no
+     simulated-time interaction) and private to this cell, so its summary
+     is byte-identical at any --jobs level.  The perf
      harness turns it off ([ledger_on = false]) to measure the bare kernel;
      the ledger never interacts with the engine, so all deterministic work
      counters are unaffected either way. *)

@@ -208,8 +208,9 @@ let run t =
 
 (* Process-side operations.  [now]/[self]/[stop]/[spawn_child] read the
    engine straight from domain-local storage — no effect round trip, no
-   handler dispatch.  [delay] and [suspend] must capture the continuation,
-   so they still perform (constant, payload-free) effects. *)
+   handler dispatch.  [suspend] must capture the continuation, so it still
+   performs a (constant, payload-free) effect; so does [delay] unless the
+   fast path below applies. *)
 
 let now () = (cur ()).now
 
@@ -217,11 +218,32 @@ let self () =
   let p = (cur ()).current in
   if p == dummy_proc then raise Not_in_simulation else p
 
+(* A delay whose wake-up is strictly earlier than every queued event (and
+   within [max_time], with no stop pending) would be popped straight back
+   by [run]: the round trip through the handler, the heap and [continue]
+   would only charge the account, take a sequence number, move the clock
+   and count one event.  Do exactly that in place.  Strictness matters: a
+   queued event at the same instant has a smaller sequence number, so it
+   runs first.  Comparing [d] with [max_time - now], not [now + d] with
+   [max_time], keeps a huge [d] from overflowing the clock. *)
 let delay ~cat d =
   let t = cur () in
-  t.sc_cat <- cat;
-  t.sc_ns <- d;
-  try perform E_delay with Effect.Unhandled _ -> raise Not_in_simulation
+  let p = t.current in
+  if
+    p != dummy_proc && (not t.stop_requested) && d >= 0
+    && d <= t.max_time - t.now
+    && (Heap.is_empty t.events || t.now + d < Heap.min_key t.events)
+  then begin
+    Account.add p.account cat d;
+    t.seq <- t.seq + 1;
+    t.now <- t.now + d;
+    t.executed <- t.executed + 1
+  end
+  else begin
+    t.sc_cat <- cat;
+    t.sc_ns <- d;
+    try perform E_delay with Effect.Unhandled _ -> raise Not_in_simulation
+  end
 
 let suspend register =
   let t = cur () in

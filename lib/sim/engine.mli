@@ -44,9 +44,11 @@ val now_of : t -> Time_ns.t
 (** Current simulated time (readable from outside processes too). *)
 
 val events_executed : t -> int
-(** Total events popped from the queue and executed so far.  Deterministic:
-    a fixed setup yields the same count on every run, so it doubles as a
-    work counter for throughput benchmarks. *)
+(** Total events executed so far: events popped from the queue, plus the
+    delays that finished in place without a queue round trip (see
+    {!delay}), each of which counts as the one event its wake-up would have
+    been.  Deterministic: a fixed setup yields the same count on every run,
+    so it doubles as a work counter for throughput benchmarks. *)
 
 val spawn : t -> name:string -> (unit -> unit) -> proc
 (** Register a new process; it starts at the current simulated time once
@@ -78,7 +80,18 @@ val self : unit -> proc
 
 val delay : cat:Account.category -> Time_ns.t -> unit
 (** Advance this process's clock by the given duration, charging the time to
-    [cat] in its account. *)
+    [cat] in its account.
+
+    When the wake-up time is strictly earlier than every queued event, no
+    stop is pending and the wake-up is within [max_time], [delay] returns
+    without yielding: it charges the account, takes a sequence number,
+    moves the clock and counts one executed event in place.  Nobody can
+    observe the difference, because the queue would have popped this wake-up
+    next anyway, before any other process, timer or waker could run.  An
+    event queued for the same instant runs first (it holds the smaller
+    sequence number), so then the delay yields as usual.  In every other
+    case the process is suspended and resumed through the queue.  Do not
+    call [delay] from a {!suspend} callback. *)
 
 val suspend : (waker -> unit) -> unit
 (** Block until the waker passed to the callback is invoked.  The callback

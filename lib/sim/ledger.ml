@@ -7,39 +7,59 @@
    directive site (Pir.d_tag) that caused it; the residue is the wasted-work
    taxonomy the paper derives by hand.
 
+   Store: page state lives in dense per-pid int arrays indexed by vpn, one
+   immediate int per page, grown geometrically.  The key domain is what the
+   OS produces: pids are small non-negative stream ids, and vpns are dense
+   from 0 because address spaces hand out segments from [next_vpn].  Site
+   rows sit in an array indexed by [site + 1] (the unattributed row first),
+   so [observe] allocates nothing once the arrays have grown.  A negative
+   pid or vpn keeps no page state; a site below [Trace.no_site] is charged
+   to the unattributed row.
+
    Determinism: the ledger is driven purely by simulated-time events inside
    one experiment cell, performs no Engine interaction, and its summary
-   sorts all tables — so the output is byte-identical at any --jobs. *)
+   lists site rows in ascending site order — so the output is
+   byte-identical at any --jobs. *)
 
-type pstate =
+(* A page state is one packed int: a 4-bit [code] with [slot site] above
+   it.  0 means "never seen"; the first lookup of a page turns it into
+   Not_resident, so the number of non-zero words is [ls_pages_tracked]. *)
+type tag =
   | Not_resident
-  | Pf_sent of int  (* site: intent accepted by the run-time layer *)
-  | Pf_inflight of int  (* site: OS started the asynchronous fetch *)
-  | Prefetched of { site : int; ns : int }
-      (* resident via a completed prefetch, not yet referenced *)
+  | Pf_sent  (* intent accepted by the run-time layer *)
+  | Pf_inflight  (* OS started the asynchronous fetch *)
+  | Prefetched
+      (* resident via a completed prefetch, not yet referenced; the fetch's
+         ns sits in the parallel [pf_ns] array *)
   | Resident
-  | Released of int  (* site: release forwarded to the OS, not yet freed *)
-  | Freed of int  (* site: on the free list via the releaser *)
+  | Released  (* release forwarded to the OS, not yet freed *)
+  | Freed  (* on the free list via the releaser *)
   | Freed_daemon  (* on the free list via a daemon steal *)
-  | Gone of int  (* site: freed frame was reused; contents only on swap *)
+  | Gone  (* freed frame was reused; contents only on swap *)
 
-type page = { mutable st : pstate }
+let code = function
+  | Not_resident -> 1
+  | Pf_sent -> 2
+  | Pf_inflight -> 3
+  | Prefetched -> 4
+  | Resident -> 5
+  | Released -> 6
+  | Freed -> 7
+  | Freed_daemon -> 8
+  | Gone -> 9
 
-(* Int-specialized hash tables for the two hot lookups ([page] on every
-   fault/touch event, [site_stats] on every charge).  The generic functorial
-   interface with an int key avoids the polymorphic-hash dispatch and the
-   (pid, vpn) tuple allocation per lookup. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* Indexed by [code]; a never-seen word (0) reads as Not_resident. *)
+let tags =
+  [| Not_resident; Not_resident; Pf_sent; Pf_inflight; Prefetched; Resident;
+     Released; Freed; Freed_daemon; Gone |]
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-(* (owner pid, vpn) packed into one immediate int.  40 bits of vpn is
-   orders of magnitude beyond any simulated address space; pids are small
-   non-negative stream ids. *)
-let page_key ~pid ~vpn = (pid lsl 40) lor vpn
+(* Row index of a site: [Trace.no_site] (and anything below it) is 0. *)
+let[@inline] slot site = if site < 0 then 0 else site + 1
+let[@inline] pack tag site = (slot site lsl 4) lor code tag
+let[@inline] tag_of w = tags.(w land 0xf)
+let[@inline] site_of w = (w lsr 4) - 1
+let not_resident = pack Not_resident Trace.no_site
+let resident = pack Resident Trace.no_site
 
 type site_stats = {
   mutable pf_sent : int;
@@ -66,10 +86,59 @@ type site_stats = {
   mutable priority_n : int;
 }
 
+let fresh_stats () =
+  {
+    pf_sent = 0;
+    pf_issued = 0;
+    pf_dropped = 0;
+    pf_raced = 0;
+    pf_done = 0;
+    pf_referenced = 0;
+    pf_useless = 0;
+    pf_late = 0;
+    pf_saved_ns = 0;
+    rel_hints = 0;
+    rel_filtered = 0;
+    rel_buffered = 0;
+    rel_stale = 0;
+    rel_sent = 0;
+    rel_skipped = 0;
+    rel_freed = 0;
+    rel_rescued = 0;
+    rel_refaulted = 0;
+    rel_reused = 0;
+    rel_unreclaimed = 0;
+    priority_sum = 0;
+    priority_n = 0;
+  }
+
+(* Shared placeholder for a site with no row yet; never written.  A row
+   comes into being on a site's first charge, as it always has. *)
+let absent = fresh_stats ()
+
+(* Site rows by [slot]. *)
+type sites = { mutable rows : site_stats array }
+
+let site_stats tbl site =
+  let i = slot site in
+  let n = Array.length tbl.rows in
+  if i >= n then
+    tbl.rows <-
+      Array.append tbl.rows (Array.make (max (i + 1) (2 * n) - n) absent);
+  let s = tbl.rows.(i) in
+  if s != absent then s
+  else begin
+    let s = fresh_stats () in
+    tbl.rows.(i) <- s;
+    s
+  end
+
 type t = {
   l_enabled : bool;
-  pages : page Itbl.t;  (* [page_key] -> state *)
-  sites : site_stats Itbl.t;
+  mutable pages : int array array;  (* pid -> vpn -> packed state *)
+  mutable pf_ns : int array array;  (* pid -> vpn -> a Prefetched page's ns *)
+  mutable pages_tracked : int;
+  sites : sites;
   (* Global tallies, used to reconcile against Vm_stats. *)
   mutable hard_faults : int;
   mutable soft_faults : int;
@@ -94,11 +163,13 @@ type t = {
   mutable tier_rescues : int;
 }
 
-let create () =
+let make enabled =
   {
-    l_enabled = true;
-    pages = Itbl.create 4096;
-    sites = Itbl.create 64;
+    l_enabled = enabled;
+    pages = [||];
+    pf_ns = [||];
+    pages_tracked = 0;
+    sites = { rows = [||] };
     hard_faults = 0;
     soft_faults = 0;
     validation_faults = 0;
@@ -119,93 +190,93 @@ let create () =
     tier_rescues = 0;
   }
 
-let null =
-  {
-    l_enabled = false;
-    pages = Itbl.create 1;
-    sites = Itbl.create 1;
-    hard_faults = 0;
-    soft_faults = 0;
-    validation_faults = 0;
-    zero_fills = 0;
-    rescues = 0;
-    prefetches_issued = 0;
-    prefetches_dropped = 0;
-    releases_freed = 0;
-    releases_skipped = 0;
-    useless_prefetches = 0;
-    late_prefetches = 0;
-    early_rescued = 0;
-    early_refaulted = 0;
-    useful_releases = 0;
-    tier_demotions = 0;
-    tier_fetches = 0;
-    tier_failovers = 0;
-    tier_rescues = 0;
-  }
-
+let create () = make true
+let null = make false
 let enabled t = t.l_enabled
 let refaults t = t.early_refaulted
 let early_rescues t = t.early_rescued
 
-let site_stats t site =
-  match Itbl.find_opt t.sites site with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          pf_sent = 0;
-          pf_issued = 0;
-          pf_dropped = 0;
-          pf_raced = 0;
-          pf_done = 0;
-          pf_referenced = 0;
-          pf_useless = 0;
-          pf_late = 0;
-          pf_saved_ns = 0;
-          rel_hints = 0;
-          rel_filtered = 0;
-          rel_buffered = 0;
-          rel_stale = 0;
-          rel_sent = 0;
-          rel_skipped = 0;
-          rel_freed = 0;
-          rel_rescued = 0;
-          rel_refaulted = 0;
-          rel_reused = 0;
-          rel_unreclaimed = 0;
-          priority_sum = 0;
-          priority_n = 0;
-        }
-      in
-      Itbl.add t.sites site s;
-      s
+(* The state row of [pid], grown (with its [pf_ns] twin) to hold [vpn]. *)
+let row t ~pid ~vpn =
+  let np = Array.length t.pages in
+  if pid >= np then begin
+    let grow a =
+      Array.append a (Array.make (max (pid + 1) (2 * np) - np) [||])
+    in
+    t.pages <- grow t.pages;
+    t.pf_ns <- grow t.pf_ns
+  end;
+  let a = t.pages.(pid) in
+  let n = Array.length a in
+  if vpn < n then a
+  else begin
+    let grow a =
+      let b = Array.make (max (max (vpn + 1) 64) (2 * n)) 0 in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    let a = grow a in
+    t.pages.(pid) <- a;
+    t.pf_ns.(pid) <- grow t.pf_ns.(pid);
+    a
+  end
 
-let page t ~pid ~vpn =
-  let key = page_key ~pid ~vpn in
-  match Itbl.find_opt t.pages key with
-  | Some p -> p
-  | None ->
-      let p = { st = Not_resident } in
-      Itbl.add t.pages key p;
-      p
+let[@inline] in_domain ~pid ~vpn = pid >= 0 && vpn >= 0
+
+(* The packed state of a page, which is tracked from its first lookup on.
+   An out-of-domain key reads as Not_resident and is never stored. *)
+let get t ~pid ~vpn =
+  if not (in_domain ~pid ~vpn) then not_resident
+  else begin
+    let a = row t ~pid ~vpn in
+    let w = a.(vpn) in
+    if w <> 0 then w
+    else begin
+      a.(vpn) <- not_resident;
+      t.pages_tracked <- t.pages_tracked + 1;
+      not_resident
+    end
+  end
+
+let set t ~pid ~vpn w =
+  if in_domain ~pid ~vpn then begin
+    let a = row t ~pid ~vpn in
+    if a.(vpn) = 0 then t.pages_tracked <- t.pages_tracked + 1;
+    a.(vpn) <- w
+  end
 
 (* A prefetched-but-unreferenced page leaving residency (or being released)
    makes its prefetch useless; charge the prefetching site. *)
 let charge_useless t site =
-  (site_stats t site).pf_useless <- (site_stats t site).pf_useless + 1;
+  let s = site_stats t.sites site in
+  s.pf_useless <- s.pf_useless + 1;
   t.useless_prefetches <- t.useless_prefetches + 1
 
 (* A reference arriving at a page a directive released earlier: cheap if the
    page is still on the free list (rescue), expensive if the frame is gone
    (hard refault).  Charge the releasing site. *)
 let charge_rescued t site =
-  (site_stats t site).rel_rescued <- (site_stats t site).rel_rescued + 1;
+  let s = site_stats t.sites site in
+  s.rel_rescued <- s.rel_rescued + 1;
   t.early_rescued <- t.early_rescued + 1
 
 let charge_refaulted t site =
-  (site_stats t site).rel_refaulted <- (site_stats t site).rel_refaulted + 1;
+  let s = site_stats t.sites site in
+  s.rel_refaulted <- s.rel_refaulted + 1;
   t.early_refaulted <- t.early_refaulted + 1
+
+(* A touch that finds the page mapped (soft or validation fault).  A page
+   still Prefetched profits its site even if it was invalidated before
+   validation.  Only an in-domain page can read as Prefetched, so its
+   [pf_ns] row exists. *)
+let referenced t ~pid ~vpn =
+  let w = get t ~pid ~vpn in
+  if tag_of w = Prefetched then begin
+    let s = site_stats t.sites (site_of w) in
+    s.pf_referenced <- s.pf_referenced + 1;
+    s.pf_saved_ns <- s.pf_saved_ns + t.pf_ns.(pid).(vpn)
+  end;
+  set t ~pid ~vpn resident
 
 let observe t ~time:_ ~stream ev =
   if t.l_enabled then
@@ -213,127 +284,126 @@ let observe t ~time:_ ~stream ev =
     (* ---- demand faults (stream = faulting pid) ---- *)
     | Hard_fault { vpn } ->
         t.hard_faults <- t.hard_faults + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Pf_sent site | Pf_inflight site ->
-            let s = site_stats t site in
+        let w = get t ~pid:stream ~vpn in
+        (match tag_of w with
+        | Pf_sent | Pf_inflight ->
+            let s = site_stats t.sites (site_of w) in
             s.pf_late <- s.pf_late + 1;
             t.late_prefetches <- t.late_prefetches + 1
-        | Released site | Freed site | Gone site ->
+        | Released | Freed | Gone ->
+            let site = site_of w in
             if site <> Trace.no_site then charge_refaulted t site
-        | Prefetched { site; _ } -> charge_useless t site
+        | Prefetched -> charge_useless t (site_of w)
         | Not_resident | Resident | Freed_daemon -> ());
-        p.st <- Resident
+        set t ~pid:stream ~vpn resident
     | Soft_fault { vpn } ->
         t.soft_faults <- t.soft_faults + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Prefetched { site; ns } ->
-            (* invalidated before validation; the touch still profits *)
-            let s = site_stats t site in
-            s.pf_referenced <- s.pf_referenced + 1;
-            s.pf_saved_ns <- s.pf_saved_ns + ns
-        | _ -> ());
-        p.st <- Resident
+        referenced t ~pid:stream ~vpn
     | Validation_fault { vpn } ->
         t.validation_faults <- t.validation_faults + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Prefetched { site; ns } ->
-            let s = site_stats t site in
-            s.pf_referenced <- s.pf_referenced + 1;
-            s.pf_saved_ns <- s.pf_saved_ns + ns
-        | _ -> ());
-        p.st <- Resident
+        referenced t ~pid:stream ~vpn
     | Zero_fill { vpn } ->
         t.zero_fills <- t.zero_fills + 1;
-        (page t ~pid:stream ~vpn).st <- Resident
+        set t ~pid:stream ~vpn resident
     | Rescue { vpn; for_prefetch; site } ->
         t.rescues <- t.rescues + 1;
-        let p = page t ~pid:stream ~vpn in
+        let w = get t ~pid:stream ~vpn in
         (* [site] is the site whose release freed the frame (no_site for a
            daemon steal); the ledger's own state agrees when the rescue is
            attributable. *)
-        (match p.st with
-        | Freed s | Released s | Gone s ->
-            let s = if site <> Trace.no_site then site else s in
+        (match tag_of w with
+        | Freed | Released | Gone ->
+            let s = if site <> Trace.no_site then site else site_of w in
             if s <> Trace.no_site then charge_rescued t s
         | _ -> if site <> Trace.no_site then charge_rescued t site);
         (* A demand rescue leaves the page resident; a prefetch rescue will
            be followed by Prefetch_done, which takes the state over. *)
-        if not for_prefetch then p.st <- Resident
+        if not for_prefetch then set t ~pid:stream ~vpn resident
     (* ---- prefetch pipeline (stream = prefetching pid) ---- *)
     | Rt_prefetch_sent { vpn; site } ->
-        (site_stats t site).pf_sent <- (site_stats t site).pf_sent + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Not_resident | Freed _ | Freed_daemon | Gone _ | Pf_sent _
-        | Pf_inflight _ | Released _ ->
-            p.st <- Pf_sent site
-        | Resident | Prefetched _ -> ())
+        let s = site_stats t.sites site in
+        s.pf_sent <- s.pf_sent + 1;
+        (match tag_of (get t ~pid:stream ~vpn) with
+        | Not_resident | Freed | Freed_daemon | Gone | Pf_sent | Pf_inflight
+        | Released ->
+            set t ~pid:stream ~vpn (pack Pf_sent site)
+        | Resident | Prefetched -> ())
     | Prefetch_issued { vpn; site } ->
         t.prefetches_issued <- t.prefetches_issued + 1;
-        (site_stats t site).pf_issued <- (site_stats t site).pf_issued + 1;
-        (page t ~pid:stream ~vpn).st <- Pf_inflight site
+        let s = site_stats t.sites site in
+        s.pf_issued <- s.pf_issued + 1;
+        set t ~pid:stream ~vpn (pack Pf_inflight site)
     | Prefetch_dropped { vpn; site } ->
         t.prefetches_dropped <- t.prefetches_dropped + 1;
-        (site_stats t site).pf_dropped <- (site_stats t site).pf_dropped + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with Pf_sent _ | Pf_inflight _ -> p.st <- Not_resident | _ -> ())
+        let s = site_stats t.sites site in
+        s.pf_dropped <- s.pf_dropped + 1;
+        (match tag_of (get t ~pid:stream ~vpn) with
+        | Pf_sent | Pf_inflight -> set t ~pid:stream ~vpn not_resident
+        | _ -> ())
     | Prefetch_raced { vpn; site } ->
-        (site_stats t site).pf_raced <- (site_stats t site).pf_raced + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with Pf_sent _ | Pf_inflight _ -> p.st <- Resident | _ -> ())
+        let s = site_stats t.sites site in
+        s.pf_raced <- s.pf_raced + 1;
+        (match tag_of (get t ~pid:stream ~vpn) with
+        | Pf_sent | Pf_inflight -> set t ~pid:stream ~vpn resident
+        | _ -> ())
     | Prefetch_done { vpn; site; ns } ->
-        (site_stats t site).pf_done <- (site_stats t site).pf_done + 1;
-        (page t ~pid:stream ~vpn).st <- Prefetched { site; ns }
+        let s = site_stats t.sites site in
+        s.pf_done <- s.pf_done + 1;
+        set t ~pid:stream ~vpn (pack Prefetched site);
+        if in_domain ~pid:stream ~vpn then t.pf_ns.(stream).(vpn) <- ns
     (* ---- release pipeline ---- *)
     | Rt_release_hint { vpn = _; site; priority } ->
-        let s = site_stats t site in
+        let s = site_stats t.sites site in
         s.rel_hints <- s.rel_hints + 1;
         s.priority_sum <- s.priority_sum + priority;
         s.priority_n <- s.priority_n + 1
     | Rt_release_filtered { site; _ } ->
-        (site_stats t site).rel_filtered <- (site_stats t site).rel_filtered + 1
+        let s = site_stats t.sites site in
+        s.rel_filtered <- s.rel_filtered + 1
     | Rt_release_buffered { tag; _ } ->
-        (site_stats t tag).rel_buffered <- (site_stats t tag).rel_buffered + 1
+        let s = site_stats t.sites tag in
+        s.rel_buffered <- s.rel_buffered + 1
     | Rt_stale_dropped { site; _ } ->
-        (site_stats t site).rel_stale <- (site_stats t site).rel_stale + 1
+        let s = site_stats t.sites site in
+        s.rel_stale <- s.rel_stale + 1
     | Rt_release_sent { vpn; site } ->
-        (site_stats t site).rel_sent <- (site_stats t site).rel_sent + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Prefetched { site = pf; _ } ->
-            charge_useless t pf;
-            p.st <- Released site
-        | Resident | Not_resident | Released _ -> p.st <- Released site
+        let s = site_stats t.sites site in
+        s.rel_sent <- s.rel_sent + 1;
+        let w = get t ~pid:stream ~vpn in
+        (match tag_of w with
+        | Prefetched ->
+            charge_useless t (site_of w);
+            set t ~pid:stream ~vpn (pack Released site)
+        | Resident | Not_resident | Released ->
+            set t ~pid:stream ~vpn (pack Released site)
         | _ -> ())
     | Release_skipped { vpn; owner; site } ->
         t.releases_skipped <- t.releases_skipped + 1;
-        (site_stats t site).rel_skipped <- (site_stats t site).rel_skipped + 1;
-        (page t ~pid:owner ~vpn).st <- Resident
+        let s = site_stats t.sites site in
+        s.rel_skipped <- s.rel_skipped + 1;
+        set t ~pid:owner ~vpn resident
     | Releaser_free { vpn; owner; site } ->
         t.releases_freed <- t.releases_freed + 1;
-        (site_stats t site).rel_freed <- (site_stats t site).rel_freed + 1;
-        (page t ~pid:owner ~vpn).st <- Freed site
+        let s = site_stats t.sites site in
+        s.rel_freed <- s.rel_freed + 1;
+        set t ~pid:owner ~vpn (pack Freed site)
     | Daemon_steal { vpn; owner } ->
-        let p = page t ~pid:owner ~vpn in
-        (match p.st with
-        | Prefetched { site; _ } -> charge_useless t site
-        | _ -> ());
-        p.st <- Freed_daemon
+        let w = get t ~pid:owner ~vpn in
+        if tag_of w = Prefetched then charge_useless t (site_of w);
+        set t ~pid:owner ~vpn (pack Freed_daemon Trace.no_site)
     | Daemon_invalidate _ | Writeback_complete _ -> ()
     | Frame_reused { vpn; owner } ->
-        let p = page t ~pid:owner ~vpn in
-        (match p.st with
-        | Freed site ->
+        let w = get t ~pid:owner ~vpn in
+        (match tag_of w with
+        | Freed ->
+            let site = site_of w in
             if site <> Trace.no_site then begin
-              let s = site_stats t site in
+              let s = site_stats t.sites site in
               s.rel_reused <- s.rel_reused + 1;
               t.useful_releases <- t.useful_releases + 1
             end;
-            p.st <- Gone site
-        | Freed_daemon -> p.st <- Not_resident
+            set t ~pid:owner ~vpn (pack Gone site)
+        | Freed_daemon -> set t ~pid:owner ~vpn not_resident
         | _ -> ())
     (* ---- cross-tier transitions (tiered backing store) ---- *)
     | Tier_demote _ -> t.tier_demotions <- t.tier_demotions + 1
@@ -407,109 +477,72 @@ type summary = {
    taxonomy residue.  Charges go to a copy of the site table so [summarize]
    is safe to call more than once (it never mutates the live ledger). *)
 let summarize t =
-  let final = Itbl.create (max 1 (Itbl.length t.sites)) in
-  Itbl.iter
-    (fun site s ->
-      Itbl.replace final site
-        {
-          s with
-          pf_sent = s.pf_sent (* force a copy of the mutable record *);
-        })
-    t.sites;
-  let final_stats site =
-    match Itbl.find_opt final site with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            pf_sent = 0;
-            pf_issued = 0;
-            pf_dropped = 0;
-            pf_raced = 0;
-            pf_done = 0;
-            pf_referenced = 0;
-            pf_useless = 0;
-            pf_late = 0;
-            pf_saved_ns = 0;
-            rel_hints = 0;
-            rel_filtered = 0;
-            rel_buffered = 0;
-            rel_stale = 0;
-            rel_sent = 0;
-            rel_skipped = 0;
-            rel_freed = 0;
-            rel_rescued = 0;
-            rel_refaulted = 0;
-            rel_reused = 0;
-            rel_unreclaimed = 0;
-            priority_sum = 0;
-            priority_n = 0;
-          }
-        in
-        Itbl.add final site s;
-        s
-  in
+  (* [{ s with ... }] forces a copy of each mutable row. *)
+  let copy s = if s == absent then absent else { s with pf_sent = s.pf_sent } in
+  let final = { rows = Array.map copy t.sites.rows } in
   let useless = ref t.useless_prefetches in
   let unnecessary = ref 0 in
-  Itbl.iter
-    (fun _ p ->
-      match p.st with
-      | Prefetched { site; _ } ->
-          let s = final_stats site in
-          s.pf_useless <- s.pf_useless + 1;
-          incr useless
-      | Freed site ->
-          (* never rescued, never refaulted, never reused: the free did no
-             work for anybody *)
-          if site <> Trace.no_site then begin
-            let s = final_stats site in
-            s.rel_unreclaimed <- s.rel_unreclaimed + 1
-          end;
-          incr unnecessary
-      | _ -> ())
+  Array.iter
+    (Array.iter (fun w ->
+         match tag_of w with
+         | Prefetched ->
+             let s = site_stats final (site_of w) in
+             s.pf_useless <- s.pf_useless + 1;
+             incr useless
+         | Freed ->
+             (* never rescued, never refaulted, never reused: the free did no
+                work for anybody *)
+             let site = site_of w in
+             if site <> Trace.no_site then begin
+               let s = site_stats final site in
+               s.rel_unreclaimed <- s.rel_unreclaimed + 1
+             end;
+             incr unnecessary
+         | _ -> ()))
     t.pages;
-  let rows =
-    Itbl.fold
-      (fun site s acc ->
-        {
-          sr_site = site;
-          sr_pf_sent = s.pf_sent;
-          sr_pf_issued = s.pf_issued;
-          sr_pf_dropped = s.pf_dropped;
-          sr_pf_raced = s.pf_raced;
-          sr_pf_done = s.pf_done;
-          sr_pf_referenced = s.pf_referenced;
-          sr_pf_useless = s.pf_useless;
-          sr_pf_late = s.pf_late;
-          sr_pf_saved_ns = s.pf_saved_ns;
-          sr_rel_hints = s.rel_hints;
-          sr_rel_filtered = s.rel_filtered;
-          sr_rel_buffered = s.rel_buffered;
-          sr_rel_stale = s.rel_stale;
-          sr_rel_sent = s.rel_sent;
-          sr_rel_skipped = s.rel_skipped;
-          sr_rel_freed = s.rel_freed;
-          sr_rel_rescued = s.rel_rescued;
-          sr_rel_refaulted = s.rel_refaulted;
-          sr_rel_reused = s.rel_reused;
-          sr_rel_unreclaimed = s.rel_unreclaimed;
-          sr_priority_mean =
-            (if s.priority_n = 0 then 0.
-             else float_of_int s.priority_sum /. float_of_int s.priority_n);
-          sr_refault_pct =
-            (if s.rel_freed = 0 then 0.
-             else
-               100.
-               *. float_of_int (s.rel_rescued + s.rel_refaulted)
-               /. float_of_int s.rel_freed);
-        }
-        :: acc)
-      final []
-    |> List.sort (fun a b -> compare a.sr_site b.sr_site)
+  let row site s =
+    {
+      sr_site = site;
+      sr_pf_sent = s.pf_sent;
+      sr_pf_issued = s.pf_issued;
+      sr_pf_dropped = s.pf_dropped;
+      sr_pf_raced = s.pf_raced;
+      sr_pf_done = s.pf_done;
+      sr_pf_referenced = s.pf_referenced;
+      sr_pf_useless = s.pf_useless;
+      sr_pf_late = s.pf_late;
+      sr_pf_saved_ns = s.pf_saved_ns;
+      sr_rel_hints = s.rel_hints;
+      sr_rel_filtered = s.rel_filtered;
+      sr_rel_buffered = s.rel_buffered;
+      sr_rel_stale = s.rel_stale;
+      sr_rel_sent = s.rel_sent;
+      sr_rel_skipped = s.rel_skipped;
+      sr_rel_freed = s.rel_freed;
+      sr_rel_rescued = s.rel_rescued;
+      sr_rel_refaulted = s.rel_refaulted;
+      sr_rel_reused = s.rel_reused;
+      sr_rel_unreclaimed = s.rel_unreclaimed;
+      sr_priority_mean =
+        (if s.priority_n = 0 then 0.
+         else float_of_int s.priority_sum /. float_of_int s.priority_n);
+      sr_refault_pct =
+        (if s.rel_freed = 0 then 0.
+         else
+           100.
+           *. float_of_int (s.rel_rescued + s.rel_refaulted)
+           /. float_of_int s.rel_freed);
+    }
   in
+  (* Slot order is ascending site order, the unattributed row first. *)
+  let rows = ref [] in
+  for i = Array.length final.rows - 1 downto 0 do
+    let s = final.rows.(i) in
+    if s != absent then rows := row (i - 1) s :: !rows
+  done;
   {
-    ls_sites = rows;
-    ls_pages_tracked = Itbl.length t.pages;
+    ls_sites = !rows;
+    ls_pages_tracked = t.pages_tracked;
     ls_useless_prefetches = !useless;
     ls_late_prefetches = t.late_prefetches;
     ls_early_rescued = t.early_rescued;

@@ -17,6 +17,16 @@
     - {e unnecessary release}: freed but never reclaimed under pressure
       (the frame was never reused and the page never touched again).
 
+    Store: each page's state is one packed immediate int (a 4-bit state tag
+    with [site + 1] above it; 0 means never seen) in a dense per-pid array
+    indexed by vpn, grown geometrically; a prefetched page's hidden I/O ns
+    sits in a parallel array.  Site rows live in an array indexed by
+    [site + 1].  [observe] therefore allocates nothing once the arrays have
+    grown.  The store assumes the key domain the OS produces: non-negative
+    pids (the acting process's stream id or the event's owner) and vpns
+    that are dense from 0 (address spaces hand out segments from their next
+    free vpn), with sites of {!Trace.no_site} or above.
+
     Driven only by simulated-time events inside one experiment cell, with
     sorted summary tables, so the output is byte-identical at any [--jobs]. *)
 
@@ -42,7 +52,10 @@ val observe : t -> time:Time_ns.t -> stream:int -> Trace.event -> unit
 (** Feed one event.  [stream] follows the {!Trace.emit} convention: the
     acting process's pid for application-stream events; daemon-side events
     carry the owning pid in the event payload.  Total: never raises, for any
-    event interleaving (see {!invariants_ok}). *)
+    event interleaving (see {!invariants_ok}) and for keys outside the
+    domain above.  Such an event still counts in every global tally; a
+    negative pid or vpn keeps no page state, and a site below
+    {!Trace.no_site} is charged to the unattributed row. *)
 
 (** One row of the per-directive-site efficacy table. *)
 type site_row = {

@@ -69,13 +69,13 @@ let test_null_and_empty () =
 
 (* A small alphabet (few vpns, sites, owners) maximizes state-machine
    collisions: prefetches over releases, rescues of never-freed pages,
-   frees of never-released pages, ... *)
-let event_gen =
+   frees of never-released pages, ...  The defaults are the domain the OS
+   produces: pids 0..2 and sites -1..3. *)
+let event_gen ?(vpn = QCheck.Gen.int_bound 7) ?(pid = QCheck.Gen.int_bound 2)
+    ?(site = QCheck.Gen.int_range (-1) 3) () =
   let open QCheck.Gen in
-  let vpn = int_bound 7 in
-  let site = map (fun s -> s - 1) (int_bound 4) (* -1 .. 3 *) in
-  let owner = int_bound 2 in
-  let stream = int_bound 2 in
+  let owner = pid in
+  let stream = pid in
   let ns = int_bound 10_000 in
   let ev =
     frequency
@@ -107,7 +107,7 @@ let event_gen =
         ( 1,
           map3
             (fun vpn tag priority -> Trace.Rt_release_buffered { vpn; tag; priority })
-            vpn (int_bound 3) (int_bound 5) );
+            vpn site (int_bound 5) );
         (1, map2 (fun vpn site -> Trace.Rt_stale_dropped { vpn; site }) vpn site);
         (3, map2 (fun vpn site -> Trace.Rt_release_sent { vpn; site }) vpn site);
         ( 2,
@@ -124,24 +124,79 @@ let event_gen =
   in
   pair stream ev
 
-let events_arb =
+let events_arb gen =
   QCheck.make
     ~print:(fun evs ->
       String.concat ";"
         (List.map (fun (s, ev) -> Printf.sprintf "%d:%s" s (Trace.event_name ev)) evs))
-    QCheck.Gen.(list_size (0 -- 400) event_gen)
+    QCheck.Gen.(list_size (0 -- 400) gen)
+
+let feed evs =
+  let l = Ledger.create () in
+  List.iteri
+    (fun i (stream, ev) -> Ledger.observe l ~time:(i * 10) ~stream ev)
+    evs;
+  l
 
 let prop_observe_total_and_legal =
   QCheck.Test.make
     ~name:"observe never raises; summary legal from any interleaving"
-    ~count:500 events_arb (fun evs ->
-      let l = Ledger.create () in
-      List.iteri
-        (fun i (stream, ev) -> Ledger.observe l ~time:(i * 10) ~stream ev)
-        evs;
+    ~count:500 (events_arb (event_gen ())) (fun evs ->
+      let l = feed evs in
       let s1 = Ledger.summarize l in
       let s2 = Ledger.summarize l in
       Ledger.invariants_ok s1 && s1 = s2)
+
+(* Differential: the dense ledger summarizes exactly like the hash-table
+   reference model.  Most vpns collide in 0..7; the rest spread over
+   0..5000 so the per-pid rows grow many times mid-run. *)
+let prop_matches_model =
+  let vpn = QCheck.Gen.(frequency [ (3, int_bound 7); (1, int_bound 5000) ]) in
+  QCheck.Test.make ~name:"summary equals the hash-table reference model"
+    ~count:500 (events_arb (event_gen ~vpn ())) (fun evs ->
+      let m = Ledger_model.create () in
+      List.iter (fun (stream, ev) -> Ledger_model.observe m ~stream ev) evs;
+      Ledger.summarize (feed evs) = Ledger_model.summarize m)
+
+(* Keys outside the OS's domain (negative pids and vpns, sites below
+   no_site) must not make [observe] raise or the summary illegal. *)
+let prop_out_of_domain_total =
+  let gen =
+    event_gen
+      ~vpn:QCheck.Gen.(int_range (-3) 7)
+      ~pid:QCheck.Gen.(int_range (-8) 2)
+      ~site:QCheck.Gen.(oneofl [ -7; -2; -1; 0; 3 ])
+      ()
+  in
+  QCheck.Test.make ~name:"out-of-domain keys: total and legal" ~count:300
+    (events_arb gen) (fun evs ->
+      Ledger.invariants_ok (Ledger.summarize (feed evs)))
+
+(* The same keys, one at a time: the global tallies count them, no page
+   state is kept, and a site below no_site lands in the unattributed row. *)
+let test_out_of_domain_keys () =
+  let l =
+    feed
+      [
+        (Trace.kernel_stream, Trace.Hard_fault { vpn = 3 });
+        (0, Trace.Zero_fill { vpn = -1 });
+        (0, Trace.Prefetch_issued { vpn = -5; site = -7 });
+        (-2, Trace.Releaser_free { vpn = 4; owner = -1; site = 2 });
+      ]
+  in
+  let s = Ledger.summarize l in
+  check_int "hard faults" 1 s.Ledger.ls_hard_faults;
+  check_int "zero fills" 1 s.Ledger.ls_zero_fills;
+  check_int "prefetches issued" 1 s.Ledger.ls_prefetches_issued;
+  check_int "releases freed" 1 s.Ledger.ls_releases_freed;
+  check_int "no page tracked" 0 s.Ledger.ls_pages_tracked;
+  check_int "no unnecessary release" 0 s.Ledger.ls_unnecessary_releases;
+  Alcotest.(check (list (pair int int)))
+    "rows" [ (-1, 1); (2, 0) ]
+    (List.map
+       (fun r -> (r.Ledger.sr_site, r.Ledger.sr_pf_issued))
+       s.Ledger.ls_sites);
+  check_bool "summary invariants" true (Ledger.invariants_ok s)
 
 let () =
   Alcotest.run "memhog_ledger"
@@ -153,7 +208,13 @@ let () =
             test_reconciles_with_vm_stats;
           Alcotest.test_case "--jobs 1 == --jobs 8 (byte-identical)" `Quick
             test_jobs_determinism;
+          Alcotest.test_case "out-of-domain keys" `Quick test_out_of_domain_keys;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_observe_total_and_legal ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_observe_total_and_legal;
+              prop_matches_model;
+              prop_out_of_domain_total;
+            ]
       );
     ]

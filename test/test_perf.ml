@@ -1,8 +1,8 @@
 (* Tests for the wall-clock throughput harness: the deterministic work
    projection of a PERF document must be byte-identical at any --jobs, the
    projection must strip every informational (wall-clock/environment)
-   member, and running with the ledger off must not perturb the work
-   counters. *)
+   member, running with the ledger off must not perturb the work
+   counters, and the ledger's allocation per event stays bounded. *)
 
 module E = Memhog_core.Experiment
 module Machine = Memhog_core.Machine
@@ -58,6 +58,34 @@ let test_ledger_off_same_work () =
   check_int "iterations" on.Perf.pr_iterations off.Perf.pr_iterations;
   check_int "sim ns" on.Perf.pr_sim_ns off.Perf.pr_sim_ns
 
+(* The ledger's own cost: with the ledger on, each event may allocate at
+   most 3.5 more minor words than with it off.  That covers the trace
+   events the emit points build for it plus its own bookkeeping.  Keeping
+   page state in hash tables of boxed records costs 5-6 words/event on
+   these cells, so the bound catches a drift back to hashing. *)
+let test_ledger_cost_bounded () =
+  let cells =
+    [
+      { Perf.pc_workload = "MATVEC"; pc_variant = E.R };
+      { Perf.pc_workload = "EMBAR"; pc_variant = E.B };
+    ]
+  in
+  let words ledger =
+    List.map
+      (fun (c : Perf.cell_result) ->
+        (c.Perf.pr_label, c.Perf.pr_minor_words_per_event))
+      (Perf.run ~cells ~ledger ~machine:Machine.quick ~jobs:1 ()).Perf.p_cells
+  in
+  let on = words true and off = words false in
+  List.iter2
+    (fun (label, w_on) (_, w_off) ->
+      check_bool
+        (Printf.sprintf "%s: ledger adds %.2f words/event (%.2f -> %.2f)" label
+           (w_on -. w_off) w_off w_on)
+        true
+        (w_on -. w_off <= 3.5))
+    on off
+
 let () =
   Alcotest.run "memhog_perf"
     [
@@ -69,5 +97,7 @@ let () =
             test_projection_strips_wall;
           Alcotest.test_case "ledger off leaves work unchanged" `Quick
             test_ledger_off_same_work;
+          Alcotest.test_case "ledger costs at most 3.5 words/event" `Quick
+            test_ledger_cost_bounded;
         ] );
     ]

@@ -336,7 +336,26 @@ let test_stop_halts () =
          Engine.stop ()));
   Engine.run e;
   check_bool "stopped" true (Engine.stopped e);
-  check_bool "ticker bounded" true (!count <= 12)
+  (* The ticker's wake at 100 was queued after the stopper's, so the stop
+     lands first: ticks at 0, 10, ..., 90. *)
+  check_int "ticks" 10 !count;
+  check_int "clock" 100 (Engine.now_of e);
+  check_int "events" 12 (Engine.events_executed e)
+
+(* A delay after [stop] never returns, even with nothing else queued. *)
+let test_delay_after_stop () =
+  let e = Engine.create () in
+  let reached = ref 0 in
+  ignore
+    (Engine.spawn e ~name:"p" (fun () ->
+         Engine.delay ~cat:Account.User 5;
+         Engine.stop ();
+         incr reached;
+         Engine.delay ~cat:Account.User 5;
+         incr reached));
+  Engine.run e;
+  check_int "halted inside the delay" 1 !reached;
+  check_int "clock" 5 (Engine.now_of e)
 
 let test_crash_recorded () =
   let e = Engine.create () in
@@ -363,7 +382,11 @@ let test_max_time_cap () =
            Engine.delay ~cat:Account.User (Time_ns.us 100)
          done));
   Engine.run e;
-  check_bool "capped" true (!count <= 11)
+  (* Ticks at 0, 100us, ..., 1ms; the wake at 1.1ms is past the cap. *)
+  check_int "ticks" 11 !count;
+  check_int "clock" (Time_ns.ms 1) (Engine.now_of e);
+  check_int "events" 11 (Engine.events_executed e);
+  check_bool "stopped" true (Engine.stopped e)
 
 let prop_engine_deterministic =
   QCheck.Test.make ~name:"identical runs produce identical schedules" ~count:50
@@ -386,6 +409,88 @@ let prop_engine_deterministic =
         !log
       in
       run () = run ())
+
+(* A reference scheduler for delay-only fibers: a list of pending events
+   ordered by (time, seq), one sequence number per scheduled event, exactly
+   as the engine numbers its queue.  Fiber [p] starts at time 0 (spawn
+   order breaks the tie), then each delay queues its wake-up, and the fiber
+   logs [(p, now)] on waking.  Returns the log and the number of events. *)
+let reference_schedule fibers =
+  let seq = ref 0 in
+  let queue = ref [] in
+  let schedule time p rest =
+    incr seq;
+    queue :=
+      List.merge
+        (fun (t1, s1, _, _) (t2, s2, _, _) -> compare (t1, s1) (t2, s2))
+        !queue
+        [ (time, !seq, p, rest) ]
+  in
+  List.iteri (fun p delays -> schedule 0 p (`Start delays)) fibers;
+  let log = ref [] and executed = ref 0 in
+  let continue_with now p = function
+    | d :: rest -> schedule (now + d) p (`Wake rest)
+    | [] -> ()
+  in
+  let rec loop () =
+    match !queue with
+    | [] -> ()
+    | (now, _, p, what) :: tl ->
+        queue := tl;
+        incr executed;
+        (match what with
+        | `Start delays -> continue_with now p delays
+        | `Wake rest ->
+            log := (p, now) :: !log;
+            continue_with now p rest);
+        loop ()
+  in
+  loop ();
+  (List.rev !log, !executed)
+
+(* Delays of 0..3 make ties, and delays that no other event can beat, the
+   common case: the engine's in-place delay must schedule exactly as the
+   queue would. *)
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine schedule equals a (time, seq) reference"
+    ~count:300
+    QCheck.(list_of_size Gen.(1 -- 5) (list_of_size Gen.(0 -- 12) (int_bound 3)))
+    (fun fibers ->
+      let e = Engine.create () in
+      let log = ref [] in
+      List.iteri
+        (fun p delays ->
+          ignore
+            (Engine.spawn e ~name:(string_of_int p) (fun () ->
+                 List.iter
+                   (fun d ->
+                     Engine.delay ~cat:Account.User d;
+                     log := (p, Engine.now ()) :: !log)
+                   delays)))
+        fibers;
+      Engine.run e;
+      let want_log, want_executed = reference_schedule fibers in
+      List.rev !log = want_log && Engine.events_executed e = want_executed)
+
+(* A lone fiber's delays never need the queue: no continuation is captured
+   and nothing is allocated per delay. *)
+let test_lone_delay_allocation () =
+  let e = Engine.create () in
+  let words = ref infinity in
+  ignore
+    (Engine.spawn e ~name:"lone" (fun () ->
+         let before = Gc.minor_words () in
+         for _ = 1 to 10_000 do
+           Engine.delay ~cat:Account.User 1
+         done;
+         words := Gc.minor_words () -. before));
+  Engine.run e;
+  check_int "clock" 10_000 (Engine.now_of e);
+  check_int "events" 10_001 (Engine.events_executed e);
+  check_bool
+    (Printf.sprintf "%.0f minor words for 10000 delays" !words)
+    true
+    (!words < 10_000.)
 
 (* ------------------------------------------------------------------ *)
 (* Semaphore                                                           *)
@@ -717,9 +822,12 @@ let () =
           Alcotest.test_case "interleaving" `Quick test_interleaving_order;
           Alcotest.test_case "spawn child, self" `Quick test_spawn_child_and_self;
           Alcotest.test_case "stop" `Quick test_stop_halts;
+          Alcotest.test_case "delay after stop" `Quick test_delay_after_stop;
           Alcotest.test_case "crash recorded" `Quick test_crash_recorded;
           Alcotest.test_case "not in simulation" `Quick test_not_in_simulation;
           Alcotest.test_case "max time cap" `Quick test_max_time_cap;
+          Alcotest.test_case "lone delays allocate nothing" `Quick
+            test_lone_delay_allocation;
         ] );
       ( "semaphore",
         [
@@ -760,6 +868,7 @@ let () =
           prop_exponential_positive;
           prop_zipf_in_range;
           prop_engine_deterministic;
+          prop_engine_matches_reference;
           prop_series_mean_bounded;
         ];
     ]
