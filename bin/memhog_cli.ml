@@ -1,21 +1,15 @@
 (* memhog — command-line front end to the reproduction.
 
    Subcommands:
-     list       the benchmark suite (Table 2)
-     machine    the simulated machine (Table 1)
      compile    run the compiler on a benchmark and dump analysis + code
      run        run one experiment and print every collected metric
-     sweep      interactive response vs sleep time for any benchmark
-     figures    regenerate the paper's tables and figures, plus ablations
-     serve      open-loop KV server tail latency vs offered load x hog
-                variant, with per-request critical-path blame
-     tiers      tiered backing store: backend mixes + far-tier partition
+     figures    regenerate the paper's tables and figures, the ablations
+                and the extensions (ext-serve: KV-server tail latency and
+                per-request blame beside a hog)
      report     render metrics JSON files as human-readable tables
      compare    diff two metrics JSON files
-     audit      per-directive-site efficacy report from the page ledger
-     perf       wall-clock throughput bench (events/sec, GC rates)
-     gate       run every scenario and compare against the baselines
      top        replay a telemetry dump as a live terminal dashboard
+     gate       run every scenario and compare against the baselines
 *)
 
 open Cmdliner
@@ -68,23 +62,29 @@ let chaos_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
-let jobs_term default =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+(* Numeric option values, checked at parse time: a bad value is a usage
+   error (exit 124), never a crash or a silent no-op deep inside a run. *)
+let checked ~what ok of_string pp =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
-  Arg.(
-    value
-    & opt positive default
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Run the independent simulations on $(docv) worker domains.  \
-           Simulated results are bit-identical to --jobs 1; only wall-clock \
-           numbers change.")
+  Arg.conv (parse, pp)
+
+let positive_int =
+  checked ~what:"a positive integer" (fun n -> n >= 1) int_of_string_opt
+    Format.pp_print_int
+
+let non_negative_float =
+  checked ~what:"a finite number >= 0"
+    (fun x -> Float.is_finite x && x >= 0.0)
+    float_of_string_opt Format.pp_print_float
+
+let positive_float =
+  checked ~what:"a finite number > 0"
+    (fun x -> Float.is_finite x && x > 0.0)
+    float_of_string_opt Format.pp_print_float
 
 (* Progress lines on stderr, stamped with the seconds since start; worker
    domains log too, so keep lines whole. *)
@@ -93,32 +93,6 @@ let log =
   fun msg ->
     Mutex.protect m (fun () ->
         Printf.eprintf "  [%7.1fs] %s\n%!" (Unix.gettimeofday () -. t0) msg)
-
-(* ------------------------------------------------------------------ *)
-(* list                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let list_cmd =
-  let run machine =
-    print_string (Figures.table2 ~machine ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "list" ~doc:"List the benchmark suite (Table 2).")
-    Term.(const run $ machine_term)
-
-(* ------------------------------------------------------------------ *)
-(* machine                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let machine_cmd =
-  let run machine =
-    print_string (Figures.table1 ~machine ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "machine" ~doc:"Describe the simulated machine (Table 1).")
-    Term.(const run $ machine_term)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
@@ -177,14 +151,14 @@ let run_cmd =
   let interactive =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some non_negative_float) None
       & info [ "interactive" ] ~docv:"SLEEP_S"
           ~doc:"Co-run the section-1.1 interactive task with this sleep time.")
   in
   let iterations =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "iterations"; "n" ] ~docv:"N" ~doc:"Main-computation passes.")
   in
   let conservative =
@@ -205,17 +179,6 @@ let run_cmd =
              registry into $(docv): $(b,openmetrics.txt) (text \
              exposition), $(b,series.csv) and $(b,alerts.csv) — the \
              files $(b,memhog top) replays.")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series"; "csv" ] ~docv:"FILE"
-          ~doc:
-            "Write the sampled time series to a CSV file \
-             ($(b,series,time_ns,value) rows).  Without $(b,--telemetry) \
-             this selects the legacy trio — free memory, resident set and \
-             the Eq. 1 upper limit — plus the trace-drop counter.")
   in
   let trace =
     Arg.(
@@ -252,7 +215,7 @@ let run_cmd =
   let serve_rate =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_float) None
       & info [ "serve" ] ~docv:"RPS"
           ~doc:
             "Co-run the open-loop KVSERVE server at $(docv) requests/sec \
@@ -281,7 +244,7 @@ let run_cmd =
              and $(b,route), each taking $(b,:k=v,...) parameters.")
   in
   let run machine workload variant interactive iterations conservative telemetry
-      csv trace metrics chaos serve_rate tiers =
+      trace metrics chaos serve_rate tiers =
     let interactive_sleep = Option.map Time_ns.of_sec_f interactive in
     let min_sim_time =
       match interactive_sleep with
@@ -419,11 +382,6 @@ let run_cmd =
            alerts.csv); replay with: memhog top %s@."
           dir dir
     | None -> ());
-    (match csv with
-    | Some path ->
-        Trace_export.write_series_csv r.Experiment.r_telemetry ~path;
-        Format.printf "series written to %s@." path
-    | None -> ());
     (match trace with
     | Some path ->
         Trace_export.write_chrome_json r.Experiment.r_trace ~path;
@@ -448,78 +406,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one experiment and print every metric.")
     Term.(
       const run $ machine_term $ workload_term $ variant $ interactive
-      $ iterations $ conservative $ telemetry $ csv $ trace $ metrics $ chaos
+      $ iterations $ conservative $ telemetry $ trace $ metrics $ chaos
       $ serve_rate $ tiers)
-
-(* ------------------------------------------------------------------ *)
-(* sweep                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let sweep_cmd =
-  let sleeps =
-    Arg.(
-      value
-      & opt (list float) [ 0.0; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0 ]
-      & info [ "sleeps" ] ~docv:"S,S,..."
-          ~doc:"Sleep times (seconds) to sweep.")
-  in
-  let run machine workload sleeps jobs =
-    (* Each (sleep, variant) cell is an independent simulation; fan them
-       out over the pool and print in input order afterwards. *)
-    let specs =
-      List.concat_map
-        (fun s ->
-          (s, None)
-          :: List.map (fun v -> (s, Some v)) Experiment.all_variants)
-        sleeps
-    in
-    let cell (s, which) =
-      let sleep = Time_ns.of_sec_f s in
-      let min_sim_time = max (Time_ns.sec 45) ((8 * sleep) + Time_ns.sec 20) in
-      match which with
-      | None ->
-          let alone =
-            Experiment.run_interactive_alone ~machine ~sleep
-              ~duration:min_sim_time ()
-          in
-          (match alone.Experiment.is_avg_response with
-          | Some t -> Time_ns.to_string t
-          | None -> "-")
-      | Some variant ->
-          let r =
-            Experiment.run
-              (Experiment.setup ~machine ~interactive_sleep:sleep ~min_sim_time
-                 ~workload ~variant ())
-          in
-          (match r.Experiment.r_interactive with
-          | Some i -> (
-              match i.Experiment.is_avg_response with
-              | Some t -> Time_ns.to_string t
-              | None -> "-")
-          | None -> "-")
-    in
-    let results = List.combine specs (Pool.map ~jobs cell specs) in
-    Format.printf "%-9s %10s" "sleep(s)" "alone";
-    List.iter
-      (fun v -> Format.printf " %10s" (Experiment.variant_name v))
-      Experiment.all_variants;
-    Format.printf "@.";
-    List.iter
-      (fun s ->
-        Format.printf "%-9.1f" s;
-        List.iter
-          (fun ((s', _), out) -> if s' = s then Format.printf " %10s" out)
-          results;
-        Format.printf "@.")
-      sleeps;
-    0
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Interactive response vs sleep time for one benchmark across all \
-          four variants (Figures 1/10a for any workload).")
-    Term.(const run $ machine_term $ workload_term $ sleeps $ jobs_term 1)
 
 (* ------------------------------------------------------------------ *)
 (* figures                                                             *)
@@ -527,8 +415,8 @@ let sweep_cmd =
 
 (* The paper's experiments.  Most figures format one shared matrix (every
    workload x O/P/R/B beside the 5 s interactive task); the rest run their
-   own sweeps. *)
-let figures =
+   own sweeps.  [chaos] reaches the matrix and the ext-serve cells. *)
+let figures ?chaos () =
   [
     ("table1", `Own (fun ~machine ~jobs:_ ~log:_ -> Figures.table1 ~machine ()));
     ("table2", `Own (fun ~machine ~jobs:_ ~log:_ -> Figures.table2 ~machine ()));
@@ -560,13 +448,25 @@ let figures =
       `Own (fun ~machine ~jobs ~log -> Figures.ext_reactive ~machine ~jobs ~log ()) );
     ( "ext-two-hogs",
       `Own (fun ~machine ~jobs ~log -> Figures.ext_two_hogs ~machine ~jobs ~log ()) );
+    ( "ext-serve",
+      `Own (fun ~machine ~jobs ~log -> Figures.ext_serve ~machine ~jobs ~log ?chaos ()) );
   ]
 
 let figures_cmd =
+  let jobs =
+    Arg.(
+      value
+      & opt positive_int (Pool.default_jobs ())
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Run the independent simulations on $(docv) worker domains.  \
+             Simulated results are bit-identical to --jobs 1; only wall-clock \
+             numbers change.")
+  in
   let ids =
     Arg.(
       value
-      & pos_all (enum (List.map (fun (id, _) -> (id, id)) figures)) []
+      & pos_all (enum (List.map (fun (id, _) -> (id, id)) (figures ()))) []
       & info [] ~docv:"ID"
           ~doc:"Experiments to run, in order (default: all of them).")
   in
@@ -584,7 +484,7 @@ let figures_cmd =
       value
       & opt (some chaos_conv) None
       & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:"Inject this fault plan into every matrix cell.")
+          ~doc:"Inject this fault plan into every matrix and ext-serve cell.")
   in
   let metrics =
     Arg.(
@@ -596,6 +496,7 @@ let figures_cmd =
              matrix figure: fig7, fig8, table3, fig9, fig10b or fig10c).")
   in
   let run machine jobs trace_dir chaos metrics ids =
+    let figures = figures ?chaos () in
     let ids = if ids = [] then List.map fst figures else ids in
     let uses_matrix id =
       match List.assoc id figures with `Matrix _ -> true | `Own _ -> false
@@ -637,175 +538,8 @@ let figures_cmd =
           extensions, printed in paper order.  Full scale takes minutes per \
           figure; $(b,--quick) runs the 1/8-scale machine.")
     Term.(
-      const run $ machine_term $ jobs_term (Pool.default_jobs ()) $ trace
+      const run $ machine_term $ jobs $ trace
       $ chaos $ metrics $ ids)
-
-(* ------------------------------------------------------------------ *)
-(* serve                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let serve_cmd =
-  let rates =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "rates" ] ~docv:"RPS,RPS,..."
-          ~doc:
-            "Offered loads (requests/sec) to sweep (default: the machine's \
-             knee loads, 1600,3840 with $(b,--quick) and 3200,4480 \
-             otherwise).")
-  in
-  let variants =
-    Arg.(
-      value
-      & opt (list variant_conv) Serve.default_variants
-      & info [ "variants" ] ~docv:"V,V,..."
-          ~doc:"Hog variants to co-run (default: O,B — the bookends).")
-  in
-  let hog =
-    Arg.(
-      value
-      & opt workload_conv (Workload.find Serve.default_hog)
-      & info [ "hog"; "w" ] ~docv:"WORKLOAD"
-          ~doc:"The out-of-core hog co-running with the server.")
-  in
-  let slo =
-    Arg.(
-      value
-      & opt float 0.03
-      & info [ "slo" ] ~docv:"S"
-          ~doc:"Per-request response-time target, in seconds.")
-  in
-  let duration =
-    Arg.(
-      value
-      & opt float 20.0
-      & info [ "duration" ] ~docv:"S"
-          ~doc:"Arrival-window length, in simulated seconds.")
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some chaos_conv) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:"Apply this fault-injection plan to every cell.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write the slowest sampled request's critical path (request \
-             slice, additive blame components, disk/transit sub-intervals) \
-             as Chrome trace-event JSON, openable in Perfetto.")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write the grid's derived metrics (including the per-cell \
-             $(b,serving) and $(b,blame) objects) as canonical JSON — on \
-             $(b,--quick) with the defaults, the bytes of \
-             bench/SERVE_metrics.json.")
-  in
-  let run machine rates variants hog slo duration chaos jobs trace metrics =
-    let t =
-      Serve.run ~machine ~workload:hog.Workload.w_name
-        ~rates:(Option.value rates ~default:(Serve.knee_rates machine))
-        ~variants
-        ~slo:(Time_ns.of_sec_f slo)
-        ~duration:(Time_ns.of_sec_f duration)
-        ?chaos ~jobs ~log ()
-    in
-    List.iter print_endline
-      [
-        Serve.render t; Figures.serve_tail t; Serve.render_blame t;
-        Figures.serve_blame t;
-      ];
-    Option.iter
-      (fun path ->
-        match Serve.slowest t with
-        | Some sp ->
-            Trace_export.write_blame_span sp ~path;
-            Format.printf "slowest-request trace written to %s@." path
-        | None -> Format.eprintf "memhog serve: no requests recorded@.")
-      trace;
-    Option.iter
-      (fun path ->
-        Metrics_io.write_json ~path
-          (Metrics.of_results ~label:(Serve.label t) (Serve.results t));
-        Format.printf "metrics written to %s@." path)
-      metrics;
-    0
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Sweep the open-loop KVSERVE server over offered load x hog \
-          variant and report tail latency (p50/p99/p999, measured from \
-          arrival) and SLO attainment — the serving analogue of the \
-          paper's interactivity figures — then decompose every sampled \
-          request's response time into additive critical-path components \
-          (queue wait, index/value fault stalls, CPU wait, compute) by \
-          percentile band, with prefetch-race and demand-disk attribution.")
-    Term.(
-      const run $ machine_term $ rates $ variants $ hog $ slo $ duration $ chaos
-      $ jobs_term 1 $ trace $ metrics)
-
-(* ------------------------------------------------------------------ *)
-(* tiers                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let tiers_cmd =
-  let rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rate" ] ~docv:"RPS"
-          ~doc:
-            "Offered load of the partition serving cell (default: the \
-             machine's at-the-knee load).")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write the experiment's derived metrics (including the \
-             per-cell $(b,tiers) objects) as canonical JSON.")
-  in
-  let run machine rate jobs metrics =
-    let rate =
-      Option.value rate ~default:(List.hd (Serve.knee_rates machine))
-    in
-    let t = Tier_exp.run ~machine ~rate ~jobs ~log () in
-    print_string (Tier_exp.render t);
-    Option.iter
-      (fun path ->
-        Metrics_io.write_json ~path
-          (Metrics.of_results ~label:(Tier_exp.label t) (Tier_exp.results t));
-        Format.printf "metrics written to %s@." path)
-      metrics;
-    match Tier_exp.check t with
-    | () -> 0
-    | exception Failure msg ->
-        Format.eprintf "memhog tiers: %s@." msg;
-        1
-  in
-  Cmd.v
-    (Cmd.info "tiers"
-       ~doc:
-         "Run the tiered-backing-store experiment: a backend-mix matrix \
-          (swap / far / zram / far+zram) plus a serving cell whose \
-          far-memory tier is hard-partitioned mid-window — demotions must \
-          fail over to the durable swap copy, in-flight reads must be \
-          rescued, the circuit breaker must cycle, and post-window SLO \
-          attainment must recover.")
-    Term.(const run $ machine_term $ rate $ jobs_term 1 $ metrics)
 
 (* ------------------------------------------------------------------ *)
 (* report / compare                                                    *)
@@ -856,19 +590,9 @@ let compare_cmd =
       & info [] ~docv:"CURRENT" ~doc:"Current metrics JSON file.")
   in
   let tolerance =
-    let pct =
-      let parse s =
-        match float_of_string_opt s with
-        | Some t when Float.is_finite t && t >= 0.0 -> Ok t
-        | _ ->
-            Error
-              (`Msg (Printf.sprintf "expected a finite, non-negative percentage, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_float)
-    in
     Arg.(
       value
-      & opt pct 0.0
+      & opt non_negative_float 0.0
       & info [ "tolerance" ] ~docv:"PCT"
           ~doc:
             "Allowed relative drift per numeric field, in percent.  0 \
@@ -1011,7 +735,7 @@ let top_cmd =
   let speed =
     Arg.(
       value
-      & opt float 4.0
+      & opt non_negative_float 4.0
       & info [ "speed" ] ~docv:"X"
           ~doc:
             "Playback rate: $(docv) seconds of simulated time per wall \
@@ -1021,7 +745,7 @@ let top_cmd =
   let width =
     Arg.(
       value
-      & opt int 60
+      & opt positive_int 60
       & info [ "width" ] ~docv:"COLS" ~doc:"Sparkline width in columns.")
   in
   let run dir speed width =
@@ -1039,7 +763,7 @@ let top_cmd =
             List.fold_left (fun acc (t, _) -> max acc t) acc samples)
           0 series
       in
-      if speed <= 0.0 then
+      if speed = 0.0 then
         print_string (render_frame ~width ~now:t_end series alerts)
       else begin
         let frames = 120 in
@@ -1071,219 +795,6 @@ let top_cmd =
           DIR)) as a live terminal dashboard: one sparkline per series and \
           an active-alert panel, animated over simulated time.")
     Term.(const run $ dir $ speed $ width)
-
-(* ------------------------------------------------------------------ *)
-(* audit                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Ledger = Memhog_sim.Ledger
-module Pir = Memhog_compiler.Pir
-
-let audit_cmd =
-  let variant =
-    Arg.(
-      value
-      & opt variant_conv Experiment.R
-      & info [ "variant"; "v" ] ~docv:"V" ~doc:"Variant to audit (O, P, R, B).")
-  in
-  let iterations =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "iterations"; "n" ] ~docv:"N" ~doc:"Main-computation passes.")
-  in
-  let conservative =
-    Arg.(
-      value & flag
-      & info [ "conservative" ]
-          ~doc:"Use the idealized section-2.3.2 insertion rule.")
-  in
-  let run machine workload variant iterations conservative =
-    let r =
-      Experiment.run
-        (Experiment.setup ~machine ?iterations ~conservative ~workload ~variant
-           ())
-    in
-    let l = r.Experiment.r_ledger in
-    let site_info tag =
-      List.find_opt (fun si -> si.Pir.si_tag = tag) r.Experiment.r_sites
-    in
-    let site_desc tag =
-      if tag = Memhog_sim.Trace.no_site then "(unattributed)"
-      else
-        match site_info tag with
-        | Some si -> si.Pir.si_desc
-        | None -> "?"
-    in
-    let table ~title ~header ~rows =
-      if rows <> [] then
-        Format.printf "@[<v>%t@]@."
-          (fun fmt -> Report.table ~title ~header ~rows fmt ())
-    in
-    Format.printf "audit: %s/%s on %s, %d passes, elapsed %s@."
-      r.Experiment.r_workload
-      (Experiment.variant_name r.Experiment.r_variant)
-      machine.Machine.m_name r.Experiment.r_iterations
-      (Time_ns.to_string r.Experiment.r_elapsed);
-    Format.printf "%d static directive sites, %d pages tracked@.@."
-      (List.length r.Experiment.r_sites)
-      l.Ledger.ls_pages_tracked;
-    (* --- per-site efficacy: prefetch sites --------------------------- *)
-    let is_release (row : Ledger.site_row) =
-      match site_info row.sr_site with
-      | Some si -> si.Pir.si_kind = Pir.S_release
-      | None -> row.sr_rel_hints > 0 || row.sr_rel_freed > 0
-    in
-    let pf_rows =
-      List.filter_map
-        (fun (row : Ledger.site_row) ->
-          if is_release row || row.sr_pf_sent = 0 then None
-          else
-            Some
-              [
-                (if row.sr_site = Memhog_sim.Trace.no_site then "-"
-                 else string_of_int row.sr_site);
-                site_desc row.sr_site;
-                Report.count row.sr_pf_sent;
-                Report.count row.sr_pf_issued;
-                Report.count row.sr_pf_dropped;
-                Report.count row.sr_pf_raced;
-                Report.count row.sr_pf_done;
-                Report.count row.sr_pf_referenced;
-                Report.count row.sr_pf_useless;
-                Report.count row.sr_pf_late;
-                Report.ns row.sr_pf_saved_ns;
-              ])
-        l.Ledger.ls_sites
-    in
-    table ~title:"Prefetch sites"
-      ~header:
-        [
-          "site"; "directive"; "sent"; "issued"; "dropped"; "raced"; "done";
-          "refd"; "useless"; "late"; "latency saved";
-        ]
-      ~rows:pf_rows;
-    (* --- per-site efficacy: release sites ---------------------------- *)
-    let rel_rows =
-      List.filter_map
-        (fun (row : Ledger.site_row) ->
-          if not (is_release row) then None
-          else
-            let static_prio =
-              match site_info row.sr_site with
-              | Some si -> string_of_int si.Pir.si_priority
-              | None -> "-"
-            in
-            Some
-              [
-                (if row.sr_site = Memhog_sim.Trace.no_site then "-"
-                 else string_of_int row.sr_site);
-                site_desc row.sr_site;
-                static_prio;
-                Report.f1 row.sr_priority_mean;
-                Report.count row.sr_rel_hints;
-                Report.count row.sr_rel_filtered;
-                Report.count row.sr_rel_buffered;
-                Report.count row.sr_rel_stale;
-                Report.count row.sr_rel_sent;
-                Report.count row.sr_rel_skipped;
-                Report.count row.sr_rel_freed;
-                Report.count row.sr_rel_rescued;
-                Report.count row.sr_rel_refaulted;
-                Report.count row.sr_rel_reused;
-                Report.count row.sr_rel_unreclaimed;
-                Report.pct row.sr_refault_pct;
-              ])
-        l.Ledger.ls_sites
-    in
-    table ~title:"Release sites (Eq. 2 priority vs observed refault rate)"
-      ~header:
-        [
-          "site"; "directive"; "prio"; "mean"; "hints"; "filt"; "buf"; "stale";
-          "sent"; "skip"; "freed"; "resc"; "refault"; "reused"; "unrecl";
-          "refault%";
-        ]
-      ~rows:rel_rows;
-    (* --- wasted-work taxonomy ---------------------------------------- *)
-    table ~title:"Wasted-work taxonomy"
-      ~header:[ "category"; "pages" ]
-      ~rows:
-        [
-          [ "useless prefetches (fetched, never referenced)";
-            Report.count l.Ledger.ls_useless_prefetches ];
-          [ "late prefetches (demand fault won the race)";
-            Report.count l.Ledger.ls_late_prefetches ];
-          [ "too-early releases, rescued (cheap)";
-            Report.count l.Ledger.ls_early_rescued ];
-          [ "too-early releases, refaulted (expensive)";
-            Report.count l.Ledger.ls_early_refaulted ];
-          [ "useful releases (freed frame reused)";
-            Report.count l.Ledger.ls_useful_releases ];
-          [ "unnecessary releases (freed, never reclaimed)";
-            Report.count l.Ledger.ls_unnecessary_releases ];
-        ];
-    (* --- reconciliation against the VM's own counters ---------------- *)
-    let checks = Scenario.reconcile r in
-    print_string (Scenario.reconciliation_table checks);
-    let reconciled = List.for_all (fun (_, lv, vv) -> lv = vv) checks in
-    let legal = Ledger.invariants_ok l in
-    if not legal then Format.printf "ledger invariants: VIOLATED@.";
-    Format.printf "audit: %s@."
-      (if reconciled && legal then "all counters reconcile"
-       else "RECONCILIATION FAILED");
-    if reconciled && legal && r.Experiment.r_invariants_ok then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:
-         "Run one fixed-seed experiment and report the page-lifecycle \
-          ledger: per-directive-site efficacy, the wasted-work taxonomy, \
-          and an exact reconciliation of the ledger's totals against the \
-          VM's own counters (exits non-zero when they disagree).")
-    Term.(
-      const run $ machine_term $ workload_term $ variant $ iterations
-      $ conservative)
-
-(* ------------------------------------------------------------------ *)
-(* perf                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let perf_cmd =
-  let ledger =
-    Arg.(
-      value & flag
-      & info [ "ledger" ]
-          ~doc:
-            "Keep the page-lifecycle ledger on inside the cells (the \
-             production default) instead of benchmarking the bare kernel.  \
-             Work counters are identical either way.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the PERF metrics JSON to $(docv).")
-  in
-  let run machine jobs ledger out =
-    let t = Perf.run ~ledger ~machine ~jobs () in
-    print_string (Perf.render t);
-    Option.iter
-      (fun path ->
-        Perf.write_file ~path t;
-        Format.printf "wrote %s@." path)
-      out;
-    0
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Wall-clock throughput bench: run the perf workload cells and \
-          report events/sec, faults/sec, simulated-ns per wall-ns and GC \
-          allocation rates.  The deterministic work counters (events \
-          executed, faults serviced, iterations, simulated time) are gated \
-          by $(b,memhog gate); wall-clock numbers are informational only.")
-    Term.(const run $ machine_term $ jobs_term 1 $ ledger $ out)
 
 (* ------------------------------------------------------------------ *)
 (* gate                                                                *)
@@ -1330,7 +841,6 @@ let () =
        (Cmd.group
           (Cmd.info "memhog" ~version:"1.0.0" ~doc)
           [
-            list_cmd; machine_cmd; compile_cmd; run_cmd; sweep_cmd;
-            figures_cmd; serve_cmd; tiers_cmd; report_cmd; compare_cmd;
-            audit_cmd; perf_cmd; gate_cmd; top_cmd;
+            compile_cmd; run_cmd; figures_cmd; report_cmd; compare_cmd;
+            top_cmd; gate_cmd;
           ]))

@@ -171,3 +171,21 @@ val serve_blame : Serve.t -> string
     stall / value stall / CPU wait / compute — showing {e how} the
     un-released hog hurts the tail (queueing and value stalls), not just
     that it does. *)
+
+val serve_report : Serve.t -> string
+(** The whole serving report: {!Serve.render}, {!serve_tail},
+    {!Serve.render_blame} and {!serve_blame}, one per paragraph — what
+    {!ext_serve} and the gate's serve scenario print. *)
+
+val ext_serve :
+  ?machine:Machine.t ->
+  ?jobs:int ->
+  ?log:(string -> unit) ->
+  ?chaos:string ->
+  unit ->
+  string
+(** The open-loop KV server beside the MATVEC hog, O and B at the
+    machine's knee loads ({!Serve.knee_rates}), 30 ms SLO, 20 s arrival
+    window: {!serve_report} of that grid.  [chaos] applies the fault plan
+    to every cell.  On {!Machine.quick} it runs the cells behind
+    [bench/SERVE_metrics.json]. *)

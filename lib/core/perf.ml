@@ -144,8 +144,6 @@ let to_json t =
       ("cells", Arr (List.map cell_json t.p_cells));
     ]
 
-let write_file ~path t = write_json ~path (to_json t)
-
 (* Members that carry wall-clock or environment information; everything
    else in the document is deterministic work. *)
 let informational = [ "wall"; "jobs"; "total_wall_s" ]

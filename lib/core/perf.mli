@@ -1,4 +1,4 @@
-(** Wall-clock throughput benchmark ([memhog perf], the perf scenario).
+(** Wall-clock throughput benchmark (the gate's perf scenario).
 
     Runs a small grid of workload cells and measures how fast the simulator
     itself executes: events/sec, faults/sec, simulated-ns per wall-ns, and
@@ -14,8 +14,8 @@
 
     Cells run with the page-lifecycle ledger off ([ledger_on = false]) so
     the bench sees the bare kernel; the ledger never touches the engine, so
-    the work counters are the same either way (and [--ledger] turns it back
-    on to measure its cost). *)
+    the work counters are the same either way ([~ledger:true] turns it back
+    on; [test_perf] measures its cost). *)
 
 type cell = { pc_workload : string; pc_variant : Experiment.variant }
 
@@ -64,8 +64,6 @@ val run :
 val to_json : t -> Metrics_io.json
 (** Stable-key document: [{"schema": "memhog-perf", "schema_version": 1,
     "machine": ..., "jobs": ..., "cells": [{"label", "work", "wall"}, ...]}]. *)
-
-val write_file : path:string -> t -> unit
 
 val work_projection : Metrics_io.json -> Metrics_io.json
 (** Strip every informational member (["wall"], ["jobs"], ["total_wall_s"])

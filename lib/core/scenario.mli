@@ -53,10 +53,11 @@ val reconcile : Experiment.result -> (string * int * int) list
 (** The page ledger's totals against the VM's own counters, one
     [(counter, ledger, vm)] row each: hard, soft and validation faults,
     zero fills, rescues, prefetches issued and dropped, releases freed and
-    skipped.  They must be equal row by row. *)
-
-val reconciliation_table : (string * int * int) list -> string
-(** {!reconcile}'s rows as a table, each marked ok or MISMATCH. *)
+    skipped.  The ledger covers the whole machine, so the VM side sums
+    the hog's counters and, in a co-run cell, the interactive task's.
+    They must be equal row by row.  A [--serve] cell is outside this
+    domain: the result does not carry the server's own counters, so its
+    rows compare the server's faults against nothing. *)
 
 val compare_document :
   t -> baselines:string -> Metrics_io.json -> (unit, string) result

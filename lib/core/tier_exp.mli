@@ -63,8 +63,8 @@ val results : t -> Experiment.result list
     {!Metrics.of_results}. *)
 
 val label : t -> string
-(** ["tiers MACHINE"]: the metrics-document label shared by [memhog tiers
-    --metrics] and the tiers scenario. *)
+(** ["tiers MACHINE"]: the label of the tiers scenario's metrics document
+    ([TIER_metrics.json]). *)
 
 val check : t -> unit
 (** The experiment's built-in gates.  Matrix: invariants hold and each

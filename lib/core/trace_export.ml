@@ -252,8 +252,6 @@ let blame_span_to_chrome_json (sp : Reqtrace.span) =
 
 let write_blame_span sp ~path = write_file ~path (blame_span_to_chrome_json sp)
 
-let write_series_csv tl ~path = write_file ~path (Telemetry.to_csv tl)
-
 let write_telemetry tl ~dir =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   write_file ~path:(Filename.concat dir "openmetrics.txt")

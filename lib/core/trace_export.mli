@@ -31,16 +31,13 @@ val blame_span_to_chrome_json : Memhog_sim.Reqtrace.span -> string
 
 val write_blame_span : Memhog_sim.Reqtrace.span -> path:string -> unit
 
-val write_series_csv : Memhog_sim.Telemetry.t -> path:string -> unit
-(** {!Memhog_sim.Telemetry.to_csv} to a file: header [series,time_ns,value],
-    one row per retained sample, series in registration order.  The
-    always-registered [trace-dropped] counter makes ring overflow visible
-    in this export too. *)
-
 val write_telemetry : Memhog_sim.Telemetry.t -> dir:string -> unit
 (** The full telemetry dump consumed by [memhog top]: creates [dir] if
-    needed and writes [openmetrics.txt] (text exposition),
-    [series.csv] and [alerts.csv]. *)
+    needed and writes [openmetrics.txt] (text exposition), [series.csv]
+    ({!Memhog_sim.Telemetry.to_csv}: header [series,time_ns,value], one
+    row per retained sample, series in registration order; the
+    always-registered [trace-dropped] counter makes ring overflow visible)
+    and [alerts.csv]. *)
 
 val summary : Memhog_sim.Trace.t -> string
 (** Human-readable event tally (one line per event kind), plus retained and

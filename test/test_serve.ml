@@ -74,12 +74,13 @@ let test_summary_conserves_requests () =
       check_bool "queue depth observed" true (s.Server.sm_max_queue >= 1))
     (Serve.cells t)
 
+(* The lookup every hog name goes through: an unknown name raises, and the
+   message names the offender and the valid set. *)
 let test_unknown_hog_rejected () =
-  check_bool "Serve.run raises on unknown hog" true
-    (match Serve.run ~workload:"nope" ~rates:[ 100.0 ] () with
+  check_bool "Workload.find raises on unknown hog" true
+    (match Memhog_workloads.Workload.find "nope" with
     | _ -> false
     | exception Failure msg ->
-        (* the error must name the offender and the valid set *)
         let contains needle hay =
           let nl = String.length needle and hl = String.length hay in
           let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in

@@ -286,6 +286,32 @@ let test_full_probe_set_registered () =
       "far-failovers"; "release-buffer"; "gov-level"; "gov-transitions";
     ]
 
+(* The telemetry-off registry (the free/RSS/limit trio, the interactive
+   task's RSS and the trace-drop counter) is a subset of the full probe
+   set: with telemetry on, those series' rows in [to_csv] are the same
+   bytes, so the full dump replaces the short one. *)
+let test_off_rows_subset_of_on () =
+  let csv telemetry =
+    let r =
+      E.run
+        (E.setup ~machine:Machine.quick
+           ~workload:(Memhog_workloads.Workload.find "EMBAR")
+           ~variant:E.R ~interactive_sleep:(Memhog_sim.Time_ns.sec 2)
+           ~min_sim_time:(Memhog_sim.Time_ns.sec 45) ~telemetry ())
+    in
+    String.split_on_char '\n' (Telemetry.to_csv r.E.r_telemetry)
+  in
+  let off = csv false and on = csv true in
+  let series line = List.hd (String.split_on_char ',' line) in
+  let names = List.sort_uniq compare (List.map series off) in
+  check_bool "off registry covers the interactive task" true
+    (List.mem "inter-rss" names);
+  check_bool "on registry has more series" true
+    (List.exists (fun l -> not (List.mem (series l) names)) on);
+  Alcotest.(check (list string))
+    "off rows == on rows of the same series" off
+    (List.filter (fun l -> List.mem (series l) names) on)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -314,6 +340,8 @@ let () =
             test_jobs_determinism;
           Alcotest.test_case "full probe set registered" `Quick
             test_full_probe_set_registered;
+          Alcotest.test_case "telemetry-off rows are a subset of telemetry-on"
+            `Quick test_off_rows_subset_of_on;
         ] );
       qsuite "properties"
         [
