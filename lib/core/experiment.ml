@@ -186,31 +186,26 @@ let run (s : setup) =
     | Some spec -> Chaos.create ~seed:m.Machine.m_seed spec
     | None -> Chaos.none
   in
-  (* The lifecycle ledger is on by default: it is cheap (packed-int array
-     updates at emit points, no allocation once its arrays have grown, no
-     simulated-time interaction) and private to this cell, so its summary
-     is byte-identical at any --jobs level.  The perf
-     harness turns it off ([ledger_on = false]) to measure the bare kernel;
-     the ledger never interacts with the engine, so all deterministic work
-     counters are unaffected either way. *)
+  (* The cell's one observation handle.  No sink touches the engine and
+     each is private to this cell (the blame reservoir draws from its own
+     seeded stream), so every work counter is the same with any of them
+     off, and their output is byte-identical at any --jobs level.  The
+     ledger is on by default: it is cheap (packed-int array updates, no
+     allocation once its arrays have grown); the perf harness turns it off
+     to measure the bare kernel.  The blame layer exists only in serve
+     mode, because only the open-loop server drives request lifecycles. *)
   let ledger = if s.ledger_on then Ledger.create () else Ledger.null in
-  (* The per-request blame layer exists only in serve mode: it is keyed by
-     request lifecycles, which only the open-loop server drives.  Like the
-     ledger it never touches the engine and is cell-private (its reservoir
-     sampler draws from its own seeded stream), so blame output is
-     byte-identical at any --jobs level. *)
   let reqtrace =
-    match s.serve with
-    | Some _ -> Reqtrace.create ~seed:m.Machine.m_seed ()
-    | None -> Reqtrace.null
+    if s.serve = None then Reqtrace.null
+    else Reqtrace.create ~seed:m.Machine.m_seed ()
   in
+  let obs = Obs.create ?ring:s.trace ~ledger ~reqtrace () in
+  let trace = Obs.ring obs in
   let os =
     Os.create ~swap_config:m.Machine.m_swap
       ?tiers:(Option.map Memhog_vm.Tiers.spec_of_string_exn s.tiers)
-      ?trace:s.trace ~ledger ~chaos ~reqtrace ~config:m.Machine.m_config
-      ~engine ()
+      ~obs ~chaos ~config:m.Machine.m_config ~engine ()
   in
-  let trace = Os.trace os in
   let prog_ir, params =
     s.workload.Workload.w_make
       ~mem_bytes:(Machine.mem_bytes m)
@@ -266,10 +261,10 @@ let run (s : setup) =
      closure read at scrape time; scraping never touches the engine, so
      the sampler fiber's event schedule — and every gated work counter —
      is identical whether the registry holds four series or twenty. *)
-  let tl = Telemetry.create ~trace () in
+  let tl = Telemetry.create ~obs () in
   let app_asp = App.asp app in
-  (* The legacy [--series] trio (plus the interactive task's RSS), under
-     their historical names. *)
+  (* Always registered: free memory, the hog's RSS and its Equation 1
+     limit, plus the interactive task's RSS. *)
   Telemetry.register_gauge tl ~name:"free" ~help:"Free physical frames."
     (fun () -> float_of_int (Os.free_pages os));
   Telemetry.register_gauge tl ~name:"app-rss"
@@ -391,33 +386,33 @@ let run (s : setup) =
            Engine.delay ~cat:Account.Sleep (Time_ns.ms 100);
            let now = Engine.now () in
            Telemetry.scrape tl ~time:now;
-           let app_rss = app_asp.Memhog_vm.Address_space.rss in
-           if Trace.enabled trace then begin
+           if Obs.recording obs then begin
              let pid = app_asp.Memhog_vm.Address_space.pid in
-             Trace.emit trace ~time:now ~stream:pid
-               (Trace.Rss_sample { owner = pid; pages = app_rss });
-             Trace.emit trace ~time:now ~stream:pid
+             Obs.emit obs ~time:now ~stream:pid
+               (Trace.Rss_sample
+                  { owner = pid; pages = app_asp.Memhog_vm.Address_space.rss });
+             Obs.emit obs ~time:now ~stream:pid
                (Trace.Upper_limit_sample
-                  { owner = pid; pages = Os.shared_upper_limit os app_asp })
-           end;
-           (match server with
-           | Some sv when Trace.enabled trace ->
-               (* Request-queue backlog, on the server's stream: lines up
-                  with the RSS counters so a trace viewer shows queue
-                  build-up against the hog's residency. *)
-               let pid = (Server.asp sv).Memhog_vm.Address_space.pid in
-               Trace.emit trace ~time:now ~stream:pid
-                 (Trace.Queue_depth { owner = pid; depth = Server.queue_depth sv })
-           | _ -> ());
-           match task with
-           | Some t ->
-               let iasp = Interactive.asp t in
-               if Trace.enabled trace then
+                  { owner = pid; pages = Os.shared_upper_limit os app_asp });
+             (* Request-queue backlog, on the server's stream: lines up
+                with the RSS counters so a trace viewer shows queue
+                build-up against the hog's residency. *)
+             Option.iter
+               (fun sv ->
+                 let pid = (Server.asp sv).Memhog_vm.Address_space.pid in
+                 Obs.emit obs ~time:now ~stream:pid
+                   (Trace.Queue_depth
+                      { owner = pid; depth = Server.queue_depth sv }))
+               server;
+             Option.iter
+               (fun t ->
+                 let iasp = Interactive.asp t in
                  let pid = iasp.Memhog_vm.Address_space.pid in
-                 Trace.emit trace ~time:now ~stream:pid
+                 Obs.emit obs ~time:now ~stream:pid
                    (Trace.Rss_sample
-                      { owner = pid; pages = iasp.Memhog_vm.Address_space.rss })
-           | None -> ()
+                      { owner = pid; pages = iasp.Memhog_vm.Address_space.rss }))
+               task
+           end
          done));
   let elapsed = ref 0 in
   let iterations_done = ref 0 in

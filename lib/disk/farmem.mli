@@ -36,7 +36,7 @@ type t
 val create :
   ?params:params ->
   ?chaos:Chaos.t ->
-  ?trace:Trace.t ->
+  ?obs:Obs.t ->
   ?trace_id:int ->
   engine:Engine.t ->
   page_bytes:int ->

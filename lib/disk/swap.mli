@@ -22,12 +22,11 @@ type t
 val create :
   ?config:config ->
   ?chaos:Memhog_sim.Chaos.t ->
-  ?trace:Memhog_sim.Trace.t ->
-  ?reqtrace:Memhog_sim.Reqtrace.t ->
+  ?obs:Memhog_sim.Obs.t ->
   page_bytes:int ->
   unit ->
   t
-(** [chaos], [trace] and [reqtrace] are handed to every striped disk (see
+(** [chaos] and [obs] are handed to every striped disk (see
     {!Disk.create}); all disks share one fault plan. *)
 
 val num_disks : t -> int

@@ -35,25 +35,23 @@ let account t = Option.map (fun p -> p.Engine.account) t.proc
 
 let alone_response t = t.seg.As.npages * t.work_per_page_ns
 
-let emit_phase t ev =
-  let trace = Os.trace t.os in
-  if Trace.enabled trace then
-    Trace.emit trace
-      ~time:(Engine.now_of (Os.engine t.os))
-      ~stream:t.it_asp.As.pid ev
-
 let loop t () =
   let index = ref 0 in
+  let obs = Os.obs t.os and stream = t.it_asp.As.pid in
   while true do
     let t0 = Engine.now () in
     let hard0 = t.it_asp.As.stats.Vm_stats.hard_faults in
     let soft0 = t.it_asp.As.stats.Vm_stats.soft_faults in
-    emit_phase t (Trace.Phase_begin { name = Printf.sprintf "sweep-%d" !index });
+    if Obs.recording obs then
+      Obs.emit obs ~time:t0 ~stream
+        (Trace.Phase_begin { name = Printf.sprintf "sweep-%d" !index });
     for p = 0 to t.seg.As.npages - 1 do
       ignore (Os.touch t.os t.it_asp ~vpn:(t.seg.As.base_vpn + p) ~write:false);
       Engine.delay ~cat:Account.User t.work_per_page_ns
     done;
-    emit_phase t (Trace.Phase_end { name = Printf.sprintf "sweep-%d" !index });
+    if Obs.recording obs then
+      Obs.emit obs ~time:(Engine.now ()) ~stream
+        (Trace.Phase_end { name = Printf.sprintf "sweep-%d" !index });
     let sweep =
       {
         sw_index = !index;

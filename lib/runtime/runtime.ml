@@ -56,6 +56,7 @@ type work =
 
 type t = {
   os : Os.t;
+  obs : Obs.t;
   asp : As.t;
   pol : policy;
   nthreads : int;
@@ -82,20 +83,13 @@ type t = {
   mutable g_issued : int;
 }
 
-(* Events feed both the trace ring and the lifecycle ledger; a single guard
-   keeps the hot path to one branch when neither observer is on. *)
-let tracing t =
-  Trace.enabled (Os.trace t.os) || Ledger.enabled (Os.ledger t.os)
-
-let emit t ev =
-  let time = Engine.now_of (Os.engine t.os) in
-  Trace.emit (Os.trace t.os) ~time ~stream:t.asp.As.pid ev;
-  Ledger.observe (Os.ledger t.os) ~time ~stream:t.asp.As.pid ev
+let now t = Engine.now_of (Os.engine t.os)
 
 let create ?(nthreads = 16) ?(release_target = 100) ?(headroom = 0)
     ?(filter_ns = 200) ?governor ~os ~asp ~policy () =
   {
     os;
+    obs = Os.obs os;
     asp;
     pol = policy;
     nthreads;
@@ -190,14 +184,15 @@ let gov_transition t ~level_to ~drop_pct ~stale_pct =
   if level_to > level_from then
     t.st.rt_gov_degrades <- t.st.rt_gov_degrades + 1
   else t.st.rt_gov_recoveries <- t.st.rt_gov_recoveries + 1;
-  if tracing t then
-    emit t (Trace.Governor_transition { level_from; level_to; drop_pct; stale_pct })
+  if Obs.recording t.obs then
+    Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+      (Trace.Governor_transition { level_from; level_to; drop_pct; stale_pct })
 
 let gov_tick t =
   match t.gov with
   | None -> ()
   | Some cfg ->
-      let now = Engine.now_of (Os.engine t.os) in
+      let now = now t in
       if now - t.g_window_start >= cfg.gv_window_ns then begin
         let pf_done = t.st.rt_prefetch_os_done - t.g_pf_done in
         let pf_dropped = t.st.rt_prefetch_os_dropped - t.g_pf_dropped in
@@ -266,18 +261,24 @@ let prefetch_page ?(site = Trace.no_site) ?(urgent = false) t ~vpn =
     t.st.rt_prefetch_filtered <- t.st.rt_prefetch_filtered + 1
   else begin
     t.st.rt_prefetch_enqueued <- t.st.rt_prefetch_enqueued + 1;
-    if tracing t then emit t (Trace.Rt_prefetch_sent { vpn; site });
+    if Obs.on t.obs then
+      Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+        (Trace.Rt_prefetch_sent { vpn; site });
     Mailbox.send t.queue (W_prefetch (vpn, site, urgent))
   end
 
 let issue_release t triples =
   if Array.length triples > 0 then begin
     t.st.rt_release_issued <- t.st.rt_release_issued + Array.length triples;
-    if tracing t then begin
-      Array.iter
-        (fun (vpn, site, _prio) -> emit t (Trace.Rt_release_sent { vpn; site }))
-        triples;
-      emit t (Trace.Rt_release_issued { count = Array.length triples })
+    if Obs.on t.obs then begin
+      let time = now t and stream = t.asp.As.pid in
+      for i = 0 to Array.length triples - 1 do
+        let vpn, site, _prio = triples.(i) in
+        Obs.emit t.obs ~time ~stream (Trace.Rt_release_sent { vpn; site })
+      done;
+      if Obs.recording t.obs then
+        Obs.emit t.obs ~time ~stream
+          (Trace.Rt_release_issued { count = Array.length triples })
     end;
     Mailbox.send t.queue (W_release triples)
   end
@@ -291,7 +292,9 @@ let drop_stale t triples =
       let live = Os.page_resident t.asp ~vpn in
       if not live then begin
         t.st.rt_release_stale_dropped <- t.st.rt_release_stale_dropped + 1;
-        if tracing t then emit t (Trace.Rt_stale_dropped { vpn; site })
+        if Obs.on t.obs then
+          Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+            (Trace.Rt_stale_dropped { vpn; site })
       end;
       live)
     triples
@@ -305,8 +308,9 @@ let maybe_drain t =
     t.st.rt_buffer_drains <- t.st.rt_buffer_drains + 1;
     let pairs = Release_buffer.pop_lowest t.buffer ~max:t.release_target in
     let pairs = Array.of_list (drop_stale t (Array.to_list pairs)) in
-    if tracing t then
-      emit t (Trace.Rt_release_drained { count = Array.length pairs });
+    if Obs.recording t.obs then
+      Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+        (Trace.Rt_release_drained { count = Array.length pairs });
     issue_release t pairs
   end
 
@@ -314,8 +318,9 @@ let maybe_drain t =
 let handle_release t ~vpn ~priority ~tag =
   if not (Os.page_resident t.asp ~vpn) then begin
     t.st.rt_release_filtered_bitmap <- t.st.rt_release_filtered_bitmap + 1;
-    if tracing t then
-      emit t (Trace.Rt_release_filtered { vpn; reason = "bitmap"; site = tag })
+    if Obs.on t.obs then
+      Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+        (Trace.Rt_release_filtered { vpn; reason = "bitmap"; site = tag })
   end
   else
     (* Degraded to level >= 1: stop buffering — under an active fault the
@@ -340,8 +345,9 @@ let handle_release t ~vpn ~priority ~tag =
         if priority <= 0 then issue_release t [| (vpn, tag, priority) |]
         else begin
           t.st.rt_release_buffered <- t.st.rt_release_buffered + 1;
-          if tracing t then
-            emit t (Trace.Rt_release_buffered { vpn; tag; priority });
+          if Obs.on t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+              (Trace.Rt_release_buffered { vpn; tag; priority });
           Release_buffer.add t.buffer ~tag ~priority ~vpn;
           maybe_drain t
         end
@@ -352,8 +358,9 @@ let handle_release t ~vpn ~priority ~tag =
         if priority < 0 then issue_release t [| (vpn, tag, priority) |]
         else begin
           t.st.rt_release_buffered <- t.st.rt_release_buffered + 1;
-          if tracing t then
-            emit t (Trace.Rt_release_buffered { vpn; tag; priority });
+          if Obs.on t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+              (Trace.Rt_release_buffered { vpn; tag; priority });
           Release_buffer.add t.buffer ~tag ~priority:(priority + 1) ~vpn
         end
 
@@ -361,12 +368,15 @@ let release_page t ~vpn ~priority ~tag =
   t.st.rt_release_requests <- t.st.rt_release_requests + 1;
   charge_filter t;
   gov_tick t;
-  if tracing t then emit t (Trace.Rt_release_hint { vpn; site = tag; priority });
+  if Obs.on t.obs then
+    Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+      (Trace.Rt_release_hint { vpn; site = tag; priority });
   if gov_suppressed t then ()
   else if not (Os.page_resident t.asp ~vpn) then begin
     t.st.rt_release_filtered_bitmap <- t.st.rt_release_filtered_bitmap + 1;
-    if tracing t then
-      emit t (Trace.Rt_release_filtered { vpn; reason = "bitmap"; site = tag })
+    if Obs.on t.obs then
+      Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+        (Trace.Rt_release_filtered { vpn; reason = "bitmap"; site = tag })
   end
   else
     (* One-request-behind: the first request for a tag is recorded; a repeat
@@ -377,8 +387,9 @@ let release_page t ~vpn ~priority ~tag =
     match Hashtbl.find_opt t.last_release tag with
     | Some (prev, _) when prev = vpn ->
         t.st.rt_release_filtered_same <- t.st.rt_release_filtered_same + 1;
-        if tracing t then
-          emit t (Trace.Rt_release_filtered { vpn; reason = "same"; site = tag })
+        if Obs.on t.obs then
+          Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+            (Trace.Rt_release_filtered { vpn; reason = "same"; site = tag })
     | Some (prev, prev_priority) ->
         Hashtbl.replace t.last_release tag (vpn, priority);
         handle_release t ~vpn:prev ~priority:prev_priority ~tag
@@ -418,4 +429,6 @@ let drain t =
     else drained
   in
   let drained = go (List.length pending) in
-  if tracing t then emit t (Trace.Rt_release_drained { count = drained })
+  if Obs.recording t.obs then
+    Obs.emit t.obs ~time:(now t) ~stream:t.asp.As.pid
+      (Trace.Rt_release_drained { count = drained })

@@ -49,7 +49,7 @@ val early_rescues : t -> int
     ([ls_early_rescued]), also O(1). *)
 
 val observe : t -> time:Time_ns.t -> stream:int -> Trace.event -> unit
-(** Feed one event.  [stream] follows the {!Trace.emit} convention: the
+(** Feed one event.  [stream] follows the {!Obs.emit} convention: the
     acting process's pid for application-stream events; daemon-side events
     carry the owning pid in the event payload.  Total: never raises, for any
     event interleaving (see {!invariants_ok}) and for keys outside the

@@ -52,7 +52,7 @@ type alert = {
 type t = {
   tl_enabled : bool;
   tl_capacity : int;
-  tl_trace : Trace.t;
+  tl_obs : Obs.t;
   tl_index : (string, series) Hashtbl.t;
   mutable tl_series : series list;  (* reverse registration order *)
   mutable tl_rules : rule list;  (* reverse registration order *)
@@ -61,12 +61,12 @@ type t = {
   mutable tl_alerts : alert list;  (* reverse chronological *)
 }
 
-let create ?(capacity = 720) ?(trace = Trace.null) () =
+let create ?(capacity = 720) ?(obs = Obs.null) () =
   if capacity < 1 then invalid_arg "Telemetry.create: capacity must be >= 1";
   {
     tl_enabled = true;
     tl_capacity = capacity;
-    tl_trace = trace;
+    tl_obs = obs;
     tl_index = Hashtbl.create 32;
     tl_series = [];
     tl_rules = [];
@@ -79,7 +79,7 @@ let null =
   {
     tl_enabled = false;
     tl_capacity = 1;
-    tl_trace = Trace.null;
+    tl_obs = Obs.null;
     tl_index = Hashtbl.create 1;
     tl_series = [];
     tl_rules = [];
@@ -250,9 +250,9 @@ let eval_rule t ~time r =
     t.tl_alerts <-
       { al_time = time; al_rule = r.ru_name; al_fired = fired; al_value = v }
       :: t.tl_alerts;
-    if Trace.enabled t.tl_trace then begin
+    if Obs.recording t.tl_obs then begin
       let value_ppm = int_of_float (Float.round (v *. 1e6)) in
-      Trace.emit t.tl_trace ~time ~stream:Trace.telemetry_stream
+      Obs.emit t.tl_obs ~time ~stream:Trace.telemetry_stream
         (if fired then Trace.Alert_fire { rule = r.ru_name; value_ppm }
          else Trace.Alert_clear { rule = r.ru_name; value_ppm })
     end
@@ -318,11 +318,6 @@ let window t name =
   | None -> []
   | Some s ->
       List.init s.r_len (fun i -> (ring_time s i, ring_value s i))
-
-let last_value t name =
-  match Hashtbl.find_opt t.tl_index name with
-  | Some s when s.a_count > 0 -> Some s.a_last
-  | _ -> None
 
 let alerts t = List.rev t.tl_alerts
 

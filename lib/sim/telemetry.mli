@@ -23,11 +23,11 @@
 
 type t
 
-val create : ?capacity:int -> ?trace:Trace.t -> unit -> t
+val create : ?capacity:int -> ?obs:Obs.t -> unit -> t
 (** A live registry.  [capacity] (default 720) is the per-series retained
     ring size — at the harness's 100 ms scrape cadence, 72 s of history.
     All-time aggregates (count/last/min/max/mean) are exact regardless of
-    what the ring has dropped.  [trace] (default {!Trace.null}) receives
+    what the ring has dropped.  [obs] (default {!Obs.null}) receives
     alert fire/clear events. *)
 
 val null : t
@@ -126,8 +126,6 @@ val summary_of : t -> string -> series_summary option
 
 val window : t -> string -> (Time_ns.t * float) list
 (** The retained ring of a series, oldest first; [[]] for unknown names. *)
-
-val last_value : t -> string -> float option
 
 val alerts : t -> alert list
 (** The full fire/clear timeline, chronological. *)

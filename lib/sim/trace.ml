@@ -1,4 +1,5 @@
 type event =
+  (* Lifecycle events: read by the ledger or the blame layer *)
   | Hard_fault of { vpn : int }
   | Soft_fault of { vpn : int }
   | Validation_fault of { vpn : int }
@@ -9,20 +10,25 @@ type event =
   | Prefetch_raced of { vpn : int; site : int }
   | Prefetch_done of { vpn : int; site : int; ns : int }
   | Daemon_steal of { vpn : int; owner : int }
-  | Daemon_invalidate of { vpn : int; owner : int }
   | Releaser_free of { vpn : int; owner : int; site : int }
-  | Release_requested of { owner : int; count : int }
   | Release_skipped of { vpn : int; owner : int; site : int }
-  | Writeback_complete of { vpn : int; owner : int }
   | Frame_reused of { vpn : int; owner : int }
   | Rt_prefetch_sent of { vpn : int; site : int }
   | Rt_release_hint of { vpn : int; site : int; priority : int }
   | Rt_release_sent of { vpn : int; site : int }
   | Rt_release_filtered of { vpn : int; reason : string; site : int }
   | Rt_release_buffered of { vpn : int; tag : int; priority : int }
+  | Rt_stale_dropped of { vpn : int; site : int }
+  | Tier_demote of { page : int; tier : int; site : int }
+  | Tier_fetch of { page : int; tier : int }
+  | Tier_failover of { page : int; tier_from : int; tier_to : int }
+  | Tier_rescue of { page : int; site : int }
+  (* Timeline-only events: read by the ring alone *)
+  | Daemon_invalidate of { vpn : int; owner : int }
+  | Release_requested of { owner : int; count : int }
+  | Writeback_complete of { vpn : int; owner : int }
   | Rt_release_issued of { count : int }
   | Rt_release_drained of { count : int }
-  | Rt_stale_dropped of { vpn : int; site : int }
   | Disk_io of { disk : int; block : int; write : bool; ns : int }
   | Free_depth of { pages : int }
   | Rss_sample of { owner : int; pages : int }
@@ -41,13 +47,8 @@ type event =
       drop_pct : int;
       stale_pct : int;
     }
-  | Tier_demote of { page : int; tier : int; site : int }
-  | Tier_fetch of { page : int; tier : int }
   | Tier_timeout of { page : int; tier : int; attempt : int }
-  | Tier_failover of { page : int; tier_from : int; tier_to : int }
-  | Tier_rescue of { page : int; site : int }
   | Breaker_transition of { tier : int; state_from : int; state_to : int }
-  (* Telemetry alert rules ({!Telemetry}). *)
   | Alert_fire of { rule : string; value_ppm : int }
   | Alert_clear of { rule : string; value_ppm : int }
 
@@ -64,13 +65,12 @@ type t = {
   mutable start : int;  (* index of the oldest retained event *)
   mutable len : int;
   mutable dropped : int;
-  mutable enabled : bool;
   names : (int, string) Hashtbl.t;
 }
 
 let dummy_event = Free_depth { pages = 0 }
 
-let create ?(capacity = 262_144) ?(enabled = true) () =
+let create ?(capacity = 262_144) () =
   let capacity = max capacity 0 in
   {
     times = Array.make (max capacity 1) 0;
@@ -80,19 +80,16 @@ let create ?(capacity = 262_144) ?(enabled = true) () =
     start = 0;
     len = 0;
     dropped = 0;
-    enabled;
     names = Hashtbl.create 16;
   }
 
-let null = create ~capacity:0 ~enabled:false ()
-
-let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
+let null = create ~capacity:0 ()
+let enabled t = t.capacity > 0
 let length t = t.len
 let dropped t = t.dropped
 
 let emit t ~time ~stream ev =
-  if t.enabled && t.capacity > 0 then begin
+  if t.capacity > 0 then begin
     let i =
       if t.len < t.capacity then begin
         let i = (t.start + t.len) mod t.capacity in
@@ -304,14 +301,6 @@ let counts t =
       Hashtbl.replace tbl name (n + 1));
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let pp_summary ppf t =
-  Format.fprintf ppf "@[<v>trace: %d events retained, %d dropped@," t.len
-    t.dropped;
-  List.iter
-    (fun (name, n) -> Format.fprintf ppf "  %-22s %d@," name n)
-    (counts t);
-  Format.fprintf ppf "@]"
 
 let daemon_stream = -1
 let releaser_stream = -2

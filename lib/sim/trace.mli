@@ -6,17 +6,12 @@
     negative ids are reserved for kernel daemons (see the [*_stream]
     constants below).
 
-    Tracing is designed to be threaded through hot paths: when a trace is
-    disabled ([null], or [create ~enabled:false]), [emit] is a single branch
-    and allocates nothing.  Call sites should still guard argument
-    construction with [enabled t] so that disabled tracing builds no event
-    values at all:
-
-    {[
-      if Trace.enabled trace then
-        Trace.emit trace ~time:(Engine.now ()) ~stream:pid
-          (Trace.Hard_fault { vpn })
-    ]}
+    The ring is one of the three sinks of an {!Obs.t}; producers write to
+    it only through {!Obs.emit}.  The [event] constructors are grouped by
+    audience, and the group names the guard a producer tests before it
+    builds the event: {e lifecycle} events, which the ledger or the blame
+    layer match, under {!Obs.on}; {e timeline-only} events, which the ring
+    alone reads, under {!Obs.recording}.
 
     When the buffer is full the oldest events are overwritten and counted in
     [dropped].
@@ -27,28 +22,28 @@
     by a directive (demand activity, daemon-initiated work). *)
 
 type event =
-  (* VM-layer events (lib/vm/os.ml). *)
+  (* ---- Lifecycle events: read by the ledger or the blame layer ---- *)
+  (* Demand faults and rescues (lib/vm/os.ml). *)
   | Hard_fault of { vpn : int }
   | Soft_fault of { vpn : int }
   | Validation_fault of { vpn : int }
   | Zero_fill of { vpn : int }
   | Rescue of { vpn : int; for_prefetch : bool; site : int }
+  (* The OS prefetch path (lib/vm/os.ml). *)
   | Prefetch_issued of { vpn : int; site : int }
   | Prefetch_dropped of { vpn : int; site : int }
   | Prefetch_raced of { vpn : int; site : int }
   | Prefetch_done of { vpn : int; site : int; ns : int }
       (** a prefetch that brought (or rescued) the page in; [ns] is the I/O
           span the later reference will not pay *)
+  (* Frees by the daemons (lib/vm/os.ml). *)
   | Daemon_steal of { vpn : int; owner : int }
-  | Daemon_invalidate of { vpn : int; owner : int }
   | Releaser_free of { vpn : int; owner : int; site : int }
-  | Release_requested of { owner : int; count : int }
   | Release_skipped of { vpn : int; owner : int; site : int }
-  | Writeback_complete of { vpn : int; owner : int }
   | Frame_reused of { vpn : int; owner : int }
       (** a frame freed by release/steal was handed to another allocation:
           the free genuinely relieved memory pressure *)
-  (* Runtime-layer events (lib/runtime/runtime.ml). *)
+  (* The run-time layer's directive filter (lib/runtime/runtime.ml). *)
   | Rt_prefetch_sent of { vpn : int; site : int }
       (** prefetch intent accepted by the run-time layer (pre-OS) *)
   | Rt_release_hint of { vpn : int; site : int; priority : int }
@@ -57,10 +52,26 @@ type event =
       (** release forwarded to the OS (immediate or drained) *)
   | Rt_release_filtered of { vpn : int; reason : string; site : int }
   | Rt_release_buffered of { vpn : int; tag : int; priority : int }
+  | Rt_stale_dropped of { vpn : int; site : int }
+  (* Tiered backing store (lib/vm/tiers.ml).  [page] is the swap page id
+     (the striped-swap address), not a vpn. *)
+  | Tier_demote of { page : int; tier : int; site : int }
+      (** the router placed a released page's contents in [tier] *)
+  | Tier_fetch of { page : int; tier : int }
+      (** a fault/prefetch was served from [tier] (the entry is consumed) *)
+  | Tier_failover of { page : int; tier_from : int; tier_to : int }
+      (** a demotion was redirected because the target tier is unhealthy *)
+  | Tier_rescue of { page : int; site : int }
+      (** a read against a dead tier was served from its failover copy *)
+  (* ---- Timeline-only events: read by the ring alone ---- *)
+  (* Kernel daemons and the release mailbox (lib/vm/os.ml). *)
+  | Daemon_invalidate of { vpn : int; owner : int }
+  | Release_requested of { owner : int; count : int }
+  | Writeback_complete of { vpn : int; owner : int }
+  (* Release batches (lib/runtime/runtime.ml). *)
   | Rt_release_issued of { count : int }
   | Rt_release_drained of { count : int }
-  | Rt_stale_dropped of { vpn : int; site : int }
-  (* Disk-layer events (lib/disk/disk.ml). *)
+  (* Disk requests (lib/disk/disk.ml). *)
   | Disk_io of { disk : int; block : int; write : bool; ns : int }
   (* Periodic samples (counters in the Chrome exporter). *)
   | Free_depth of { pages : int }
@@ -83,18 +94,10 @@ type event =
       drop_pct : int;  (** window prefetch-drop rate, percent *)
       stale_pct : int;  (** window release-badness rate, percent *)
     }
-  (* Tiered backing store (lib/vm/tiers.ml and the lib/disk backends).
-     [page] is the swap page id (the striped-swap address), not a vpn. *)
-  | Tier_demote of { page : int; tier : int; site : int }
-      (** the router placed a released page's contents in [tier] *)
-  | Tier_fetch of { page : int; tier : int }
-      (** a fault/prefetch was served from [tier] (the entry is consumed) *)
+  (* Far-memory retries and the tier breaker (lib/disk/farmem.ml,
+     lib/vm/tiers.ml). *)
   | Tier_timeout of { page : int; tier : int; attempt : int }
       (** a far-memory attempt was aborted at its deadline and re-issued *)
-  | Tier_failover of { page : int; tier_from : int; tier_to : int }
-      (** a demotion was redirected because the target tier is unhealthy *)
-  | Tier_rescue of { page : int; site : int }
-      (** a read against a dead tier was served from its failover copy *)
   | Breaker_transition of { tier : int; state_from : int; state_to : int }
       (** circuit-breaker edge; states are 0=closed, 1=half-open, 2=open *)
   (* Telemetry alert rules ({!Telemetry}). *)
@@ -111,16 +114,17 @@ val no_site : int
 type t
 
 val null : t
-(** A permanently disabled trace; [emit] on it is a no-op. *)
+(** The disabled trace (capacity 0); [emit] on it is a no-op. *)
 
-val create : ?capacity:int -> ?enabled:bool -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] is the ring size in events (default 262144). *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
+(** [capacity > 0]. *)
 
 val emit : t -> time:Time_ns.t -> stream:int -> event -> unit
-(** O(1); overwrites the oldest event when full. No-op when disabled. *)
+(** O(1); overwrites the oldest event when full. No-op when disabled.
+    Producers go through {!Obs.emit}. *)
 
 val set_stream_name : t -> int -> string -> unit
 (** Label a stream (process or daemon lane) for exporters. *)
@@ -150,8 +154,6 @@ val event_args : event -> (string * string) list
 
 val counts : t -> (string * int) list
 (** Retained event tally by [event_name], sorted by name. *)
-
-val pp_summary : Format.formatter -> t -> unit
 
 (** {1 Reserved daemon stream ids} *)
 

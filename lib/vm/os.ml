@@ -39,13 +39,10 @@ type t = {
   memory_lock : Semaphore.t;
   cpus : Semaphore.t;
   spaces : (int, As.t) Hashtbl.t;
-  mutable space_list : As.t list;
   releaser_box : releaser_msg Mailbox.t;
   gstats : Vm_stats.global;
-  trace : Trace.t;
-  ledger : Ledger.t;
+  obs : Obs.t;
   chaos : Chaos.t;
-  reqtrace : Reqtrace.t;
   h_fault : Histogram.t;
       (* service time of every demand fault (non-Fast touch), wall start to
          wall end including lock and I/O waits *)
@@ -70,26 +67,10 @@ let tier_far_open t = match t.tiers with None -> false | Some tr -> Tiers.far_op
 let global_stats t = t.gstats
 let free_pages t = Free_list.length t.free
 let cpus t = t.cpus
-let address_spaces t = List.rev t.space_list
-let trace t = t.trace
-let ledger t = t.ledger
-let chaos t = t.chaos
-let reqtrace t = t.reqtrace
+let obs t = t.obs
 let fault_histogram t = t.h_fault
 let prefetch_histogram t = t.h_prefetch
-
-(* Call sites guard with [tracing t] so disabled observation builds no event
-   values on the hot path.  Events feed the trace ring, the lifecycle
-   ledger and the per-request blame layer. *)
-let tracing t =
-  Trace.enabled t.trace || Ledger.enabled t.ledger
-  || Reqtrace.enabled t.reqtrace
-
-let emit t ~stream ev =
-  let time = Engine.now_of t.engine in
-  Trace.emit t.trace ~time ~stream ev;
-  Ledger.observe t.ledger ~time ~stream ev;
-  Reqtrace.observe t.reqtrace ~time ~stream ev
+let now t = Engine.now_of t.engine
 
 let sys_delay t d = ignore t; Engine.delay ~cat:Account.System d
 
@@ -148,8 +129,8 @@ let disassociate ?(reused = true) t (f : Frame.t) =
               As.set_raw seg ~vpn:f.vpn As.Pte.swapped
         | exception Not_found -> ())
     | None -> ());
-    if reused && f.freed_by <> None && tracing t then
-      emit t ~stream:Trace.kernel_stream
+    if reused && f.freed_by <> None && Obs.on t.obs then
+      Obs.emit t.obs ~time:(now t) ~stream:Trace.kernel_stream
         (Trace.Frame_reused { vpn = f.vpn; owner = f.owner });
     Frame.reset_association f
   end
@@ -219,8 +200,7 @@ let new_process t ~name =
   let asp = As.create ~tlb_entries:t.config.tlb_entries ~pid:t.next_pid ~name () in
   t.next_pid <- t.next_pid + 1;
   Hashtbl.replace t.spaces asp.As.pid asp;
-  t.space_list <- asp :: t.space_list;
-  Trace.set_stream_name t.trace asp.As.pid name;
+  Trace.set_stream_name (Obs.ring t.obs) asp.As.pid name;
   asp
 
 let map_segment t asp ~name ~bytes ~on_swap =
@@ -304,8 +284,9 @@ and fault t asp seg ~vpn ~write =
           f.age <- 0;
           if write then f.dirty <- true;
           stats.validation_faults <- stats.validation_faults + 1;
-          if tracing t then
-            emit t ~stream:asp.As.pid (Trace.Validation_fault { vpn });
+          if Obs.on t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+              (Trace.Validation_fault { vpn });
           As.set_bit seg ~vpn true;
           Tlb.insert asp.As.tlb ~vpn;
           sys_delay t cfg.validation_fault_ns;
@@ -320,7 +301,9 @@ and fault t asp seg ~vpn ~write =
           f.age <- 0;
           if write then f.dirty <- true;
           stats.soft_faults <- stats.soft_faults + 1;
-          if tracing t then emit t ~stream:asp.As.pid (Trace.Soft_fault { vpn });
+          if Obs.on t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+              (Trace.Soft_fault { vpn });
           if not f.release_invalidated then
             stats.soft_faults_daemon <- stats.soft_faults_daemon + 1;
           f.release_invalidated <- false;
@@ -363,8 +346,8 @@ and fault t asp seg ~vpn ~write =
             | Vm_stats.Daemon -> stats.rescued_daemon <- stats.rescued_daemon + 1
             | Vm_stats.Releaser ->
                 stats.rescued_releaser <- stats.rescued_releaser + 1);
-            if tracing t then
-              emit t ~stream:asp.As.pid
+            if Obs.on t.obs then
+              Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
                 (Trace.Rescue
                    { vpn; for_prefetch = false; site = f.free_site });
             install_frame t asp seg ~vpn f ~write ~prefetched:false;
@@ -384,12 +367,12 @@ and fault t asp seg ~vpn ~write =
         (* Someone (prefetch thread or another fault) is bringing it in. *)
         let ivar = As.transit_ivar seg ~vpn in
         Semaphore.release asp.As.as_lock;
-        if Reqtrace.enabled t.reqtrace then begin
-          let t0 = Engine.now_of t.engine in
+        let rq = Obs.reqtrace t.obs in
+        if Reqtrace.enabled rq then begin
+          let t0 = now t in
           Ivar.read ~cat:Account.Io_stall ivar;
-          Reqtrace.note_transit t.reqtrace ~pid:(Engine.self ()).Engine.pid
-            ~start:t0
-            ~ns:(Engine.now_of t.engine - t0)
+          Reqtrace.note_transit rq ~pid:(Engine.self ()).Engine.pid ~start:t0
+            ~ns:(now t - t0)
         end
         else Ivar.read ~cat:Account.Io_stall ivar;
         touch t asp ~vpn ~write
@@ -404,12 +387,16 @@ and fault t asp seg ~vpn ~write =
         sys_delay t cfg.hard_fault_cpu_ns;
         if zero then begin
           stats.zero_fills <- stats.zero_fills + 1;
-          if tracing t then emit t ~stream:asp.As.pid (Trace.Zero_fill { vpn });
+          if Obs.on t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+              (Trace.Zero_fill { vpn });
           sys_delay t cfg.zero_fill_ns
         end
         else begin
           stats.hard_faults <- stats.hard_faults + 1;
-          if tracing t then emit t ~stream:asp.As.pid (Trace.Hard_fault { vpn });
+          if Obs.on t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+              (Trace.Hard_fault { vpn });
           backing_read t ~background:false ~page:(As.swap_page seg ~vpn)
         end;
         Semaphore.acquire asp.As.as_lock;
@@ -431,12 +418,12 @@ and fault t asp seg ~vpn ~write =
 let touch_inner = touch
 
 let touch t asp ~vpn ~write =
-  let t0 = Engine.now_of t.engine in
+  let t0 = now t in
   let r = touch_inner t asp ~vpn ~write in
   (match r with
   | Fast -> ()
   | Soft | Validated | Hard | Zero_filled | Rescued _ ->
-      Histogram.record t.h_fault (Engine.now_of t.engine - t0));
+      Histogram.record t.h_fault (now t - t0));
   r
 
 (* ------------------------------------------------------------------ *)
@@ -475,8 +462,8 @@ let rec prefetch t ?(site = Trace.no_site) ?(urgent = false) (asp : As.t) ~vpn
             let f = t.frames.(fidx) in
             if f.on_free_list then Free_list.remove t.free f;
             stats.prefetch_rescues <- stats.prefetch_rescues + 1;
-            if tracing t then
-              emit t ~stream:asp.As.pid
+            if Obs.on t.obs then
+              Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
                 (Trace.Rescue { vpn; for_prefetch = true; site = f.free_site });
             (match f.freed_by with
             | Some Vm_stats.Daemon ->
@@ -508,8 +495,9 @@ let rec prefetch t ?(site = Trace.no_site) ?(urgent = false) (asp : As.t) ~vpn
           with
           | None ->
               stats.prefetches_dropped <- stats.prefetches_dropped + 1;
-              if tracing t then
-                emit t ~stream:asp.As.pid (Trace.Prefetch_dropped { vpn; site });
+              if Obs.on t.obs then
+                Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+                  (Trace.Prefetch_dropped { vpn; site });
               Semaphore.release asp.As.as_lock;
               update_limits t asp;
               P_dropped
@@ -527,8 +515,9 @@ let rec prefetch t ?(site = Trace.no_site) ?(urgent = false) (asp : As.t) ~vpn
                 As.set_in_transit seg ~vpn ivar;
                 Semaphore.release asp.As.as_lock;
                 stats.prefetches_issued <- stats.prefetches_issued + 1;
-                if tracing t then
-                  emit t ~stream:asp.As.pid (Trace.Prefetch_issued { vpn; site });
+                if Obs.on t.obs then
+                  Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+                    (Trace.Prefetch_issued { vpn; site });
                 sys_delay t cfg.hard_fault_cpu_ns;
                 if zero then sys_delay t cfg.zero_fill_ns
                 else
@@ -544,8 +533,9 @@ let rec prefetch t ?(site = Trace.no_site) ?(urgent = false) (asp : As.t) ~vpn
               else begin
                 (* resident, in transit, or back on the free list *)
                 stats.prefetches_useless <- stats.prefetches_useless + 1;
-                if tracing t then
-                  emit t ~stream:asp.As.pid (Trace.Prefetch_raced { vpn; site });
+                if Obs.on t.obs then
+                  Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+                    (Trace.Prefetch_raced { vpn; site });
                 Semaphore.acquire t.memory_lock;
                 Free_list.push_tail t.free f;
                 Condition.broadcast t.free_cond;
@@ -561,17 +551,18 @@ let rec prefetch t ?(site = Trace.no_site) ?(urgent = false) (asp : As.t) ~vpn
 let prefetch_inner = prefetch
 
 let prefetch t ?(site = Trace.no_site) ?urgent asp ~vpn =
-  let t0 = Engine.now_of t.engine in
+  let t0 = now t in
   let r = prefetch_inner t asp ~site ?urgent ~vpn in
   (match r with
   | P_fetched | P_rescued ->
-      let ns = Engine.now_of t.engine - t0 in
+      let ns = now t - t0 in
       Histogram.record t.h_prefetch ns;
       (* The completed fetch (or rescue) is the I/O span a later reference
          will not pay: the ledger credits it to the site once the page is
          actually touched. *)
-      if tracing t then
-        emit t ~stream:asp.As.pid (Trace.Prefetch_done { vpn; site; ns })
+      if Obs.on t.obs then
+        Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
+          (Trace.Prefetch_done { vpn; site; ns })
   | P_already | P_dropped -> ());
   r
 
@@ -617,8 +608,8 @@ let release_request t ?sites ?priorities (asp : As.t) ~vpns =
           end
       | exception Not_found -> ())
     vpns;
-  if tracing t then
-    emit t ~stream:asp.As.pid
+  if Obs.recording t.obs then
+    Obs.emit t.obs ~time:(now t) ~stream:asp.As.pid
       (Trace.Release_requested { owner = asp.As.pid; count = Array.length vpns });
   Mailbox.send t.releaser_box
     (R_batch
@@ -661,8 +652,8 @@ let writeback_and_free t writebacks =
                 Condition.broadcast t.free_cond
               end);
              Semaphore.release t.memory_lock;
-             if tracing t then
-               emit t ~stream:Trace.writeback_stream
+             if Obs.recording t.obs then
+               Obs.emit t.obs ~time:(now t) ~stream:Trace.writeback_stream
                  (Trace.Writeback_complete { vpn; owner }))))
     writebacks
 
@@ -687,8 +678,8 @@ let releaser_process_batch t (asp : As.t) (vpns : int array)
           if As.bit seg ~vpn then begin
             (* Re-referenced (or re-fetched) since the request: skip. *)
             asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
-            if tracing t then
-              emit t ~stream:Trace.releaser_stream
+            if Obs.on t.obs then
+              Obs.emit t.obs ~time:(now t) ~stream:Trace.releaser_stream
                 (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
           end
           else
@@ -702,8 +693,8 @@ let releaser_process_batch t (asp : As.t) (vpns : int array)
                   asp.As.stats.freed_by_releaser + 1;
                 t.gstats.releaser_pages_freed <- t.gstats.releaser_pages_freed + 1;
                 incr freed;
-                if tracing t then
-                  emit t ~stream:Trace.releaser_stream
+                if Obs.on t.obs then
+                  Obs.emit t.obs ~time:(now t) ~stream:Trace.releaser_stream
                     (Trace.Releaser_free { vpn; owner = asp.As.pid; site });
                 if f.dirty then begin
                   f.dirty <- false;
@@ -723,8 +714,8 @@ let releaser_process_batch t (asp : As.t) (vpns : int array)
             else begin
                 (* untouched, swapped, already freed, or in transit *)
                 asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
-                if tracing t then
-                  emit t ~stream:Trace.releaser_stream
+                if Obs.on t.obs then
+                  Obs.emit t.obs ~time:(now t) ~stream:Trace.releaser_stream
                     (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
             end))
     vpns;
@@ -748,8 +739,8 @@ let chaos_stall t who ~name =
     | Some until ->
         let d = until - Engine.now () in
         if d > 0 then begin
-          if tracing t then
-            emit t ~stream:Trace.chaos_stream
+          if Obs.recording t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:Trace.chaos_stream
               (Trace.Chaos_stall { who = name; until });
           Chaos.note_stall t.chaos who d;
           Engine.delay ~cat:Account.Sleep d
@@ -769,8 +760,8 @@ let releaser_loop t () =
              requester already cleared the residency bits and invalidated
              the mappings, so the pages simply stay resident and the next
              touch soft-faults them back in. *)
-          if tracing t then
-            emit t ~stream:Trace.chaos_stream
+          if Obs.recording t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:Trace.chaos_stream
               (Trace.Chaos_drop_directive { count = Array.length req.req_vpns })
         end
         else begin
@@ -827,8 +818,8 @@ let rec daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage =
       Tlb.invalidate asp.As.tlb ~vpn:f.vpn;
       stats.invalidations <- stats.invalidations + 1;
       t.gstats.daemon_invalidations <- t.gstats.daemon_invalidations + 1;
-      if tracing t then
-        emit t ~stream:Trace.daemon_stream
+      if Obs.recording t.obs then
+        Obs.emit t.obs ~time:(now t) ~stream:Trace.daemon_stream
           (Trace.Daemon_invalidate { vpn = f.vpn; owner = asp.As.pid })
     end;
     f.age <- 0;
@@ -878,8 +869,8 @@ and daemon_steal t (asp : As.t) (f : Frame.t) =
   asp.As.rss <- asp.As.rss - 1;
   stats.freed_by_daemon <- stats.freed_by_daemon + 1;
   t.gstats.daemon_pages_stolen <- t.gstats.daemon_pages_stolen + 1;
-  if tracing t then
-    emit t ~stream:Trace.daemon_stream
+  if Obs.on t.obs then
+    Obs.emit t.obs ~time:(now t) ~stream:Trace.daemon_stream
       (Trace.Daemon_steal { vpn = f.vpn; owner = asp.As.pid });
   if f.dirty then begin
     f.dirty <- false;
@@ -984,8 +975,8 @@ let paging_daemon_loop t () =
   while not t.stop do
     daemon_sleep t cfg.daemon_interval_ns;
     chaos_stall t `Daemon ~name:"daemon";
-    if tracing t then
-      emit t ~stream:Trace.kernel_stream
+    if Obs.recording t.obs then
+      Obs.emit t.obs ~time:(now t) ~stream:Trace.kernel_stream
         (Trace.Free_depth { pages = Free_list.length t.free });
     if t.stop then ()
     else if !active then begin
@@ -1022,8 +1013,8 @@ let paging_daemon_loop t () =
 let chaos_phantom_loop t spikes () =
   List.iter
     (fun (start, pages, hold) ->
-      let now = Engine.now () in
-      if start > now then Engine.delay ~cat:Account.Sleep (start - now);
+      let at = Engine.now () in
+      if start > at then Engine.delay ~cat:Account.Sleep (start - at);
       if not t.stop then begin
         Semaphore.acquire t.memory_lock;
         let grabbed = ref [] in
@@ -1040,16 +1031,16 @@ let chaos_phantom_loop t spikes () =
         Semaphore.release t.memory_lock;
         if !n > 0 then begin
           Chaos.note_pressure t.chaos ~pages:!n;
-          if tracing t then
-            emit t ~stream:Trace.chaos_stream
+          if Obs.recording t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:Trace.chaos_stream
               (Trace.Chaos_pressure { pages = !n; hold });
           Engine.delay ~cat:Account.Sleep hold;
           Semaphore.acquire t.memory_lock;
           List.iter (fun f -> Free_list.push_tail t.free f) !grabbed;
           Condition.broadcast t.free_cond;
           Semaphore.release t.memory_lock;
-          if tracing t then
-            emit t ~stream:Trace.chaos_stream
+          if Obs.recording t.obs then
+            Obs.emit t.obs ~time:(now t) ~stream:Trace.chaos_stream
               (Trace.Chaos_pressure_end { pages = !n })
         end
       end)
@@ -1059,14 +1050,10 @@ let chaos_phantom_loop t spikes () =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?swap_config ?tiers:tiers_spec ?(trace = Trace.null)
-    ?(ledger = Ledger.null) ?(chaos = Chaos.none) ?(reqtrace = Reqtrace.null)
-    ~config:(cfg : Config.t) ~engine () =
+let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
+    ?(chaos = Chaos.none) ~config:(cfg : Config.t) ~engine () =
   let swap =
-    Swap.create
-      ?config:swap_config
-      ~chaos ~trace ~reqtrace
-      ~page_bytes:cfg.page_bytes ()
+    Swap.create ?config:swap_config ~chaos ~obs ~page_bytes:cfg.page_bytes ()
   in
   let frames = Array.init cfg.total_frames Frame.make in
   let free = Free_list.create frames in
@@ -1083,13 +1070,10 @@ let create ?swap_config ?tiers:tiers_spec ?(trace = Trace.null)
       memory_lock = Semaphore.create ~name:"memory-lock" 1;
       cpus = Semaphore.create ~name:"cpus" cfg.num_cpus;
       spaces = Hashtbl.create 16;
-      space_list = [];
       releaser_box = Mailbox.create ~name:"releaser" ();
       gstats = Vm_stats.create_global ();
-      trace;
-      ledger;
+      obs;
       chaos;
-      reqtrace;
       h_fault = Histogram.create ();
       h_prefetch = Histogram.create ();
       advisors = Hashtbl.create 4;
@@ -1100,16 +1084,15 @@ let create ?swap_config ?tiers:tiers_spec ?(trace = Trace.null)
       daemon_waker = None;
     }
   in
+  let trace = Obs.ring obs in
   (match tiers_spec with
   | None -> ()
   | Some spec ->
       Trace.set_stream_name trace Trace.tier_stream "tiers";
       t.tiers <-
         Some
-          (Tiers.create
-             ~emit:(fun ev ->
-               if tracing t then emit t ~stream:Trace.tier_stream ev)
-             ~chaos ~trace ~engine ~page_bytes:cfg.page_bytes ~swap spec ()));
+          (Tiers.create ~obs ~chaos ~engine ~page_bytes:cfg.page_bytes ~swap
+             spec ()));
   Trace.set_stream_name trace Trace.daemon_stream "paging-daemon";
   Trace.set_stream_name trace Trace.releaser_stream "releaser-daemon";
   Trace.set_stream_name trace Trace.writeback_stream "writeback";

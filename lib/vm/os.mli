@@ -35,24 +35,20 @@ type prefetch_result =
 val create :
   ?swap_config:Memhog_disk.Swap.config ->
   ?tiers:Tiers.spec ->
-  ?trace:Memhog_sim.Trace.t ->
-  ?ledger:Memhog_sim.Ledger.t ->
+  ?obs:Memhog_sim.Obs.t ->
   ?chaos:Memhog_sim.Chaos.t ->
-  ?reqtrace:Memhog_sim.Reqtrace.t ->
   config:Config.t ->
   engine:Memhog_sim.Engine.t ->
   unit ->
   t
 (** Build the kernel state and spawn the paging daemon and releaser daemon
-    processes.  [trace] (default {!Memhog_sim.Trace.null}) receives kernel
-    events: faults, prefetch outcomes, daemon steals and invalidations,
-    releaser frees and skips, writeback completions, and free-list depth
-    samples at each daemon tick.
-
-    [ledger] (default {!Memhog_sim.Ledger.null}) receives the same events
-    directly at the emit point — independent of the trace ring's capacity —
-    and folds them into the per-page lifecycle state machine and the
-    per-directive-site efficacy table.
+    processes.  [obs] (default {!Memhog_sim.Obs.null}) watches the whole
+    machine: the kernel emits faults, prefetch outcomes, daemon steals and
+    invalidations, releaser frees and skips, writeback completions and
+    free-list depth samples into it, and hands it to every swap disk and to
+    the tier router.  Its blame layer is fed in-transit waits from the
+    fault path, keyed by the faulting fiber's pid.  Upper layers emit their
+    own events through {!obs}.
 
     [chaos] (default {!Memhog_sim.Chaos.none}) is the fault-injection plan:
     it is handed to every swap disk (transient errors and latency spikes),
@@ -63,13 +59,6 @@ val create :
     that grabs free frames at the planned times and holds them, slamming
     [tot_freemem] through Equation 1.
 
-    [reqtrace] (default {!Memhog_sim.Reqtrace.null}) is the per-request
-    blame layer: it is handed to every swap disk (demand arm-queue and
-    service attribution), observes [Prefetch_done] events at the emit
-    point (prefetch I/O spans for slack accounting), and is fed
-    in-transit wait intervals from the fault path — all keyed by the
-    faulting fiber's pid.
-
     [tiers] (default absent) installs a {!Tiers} router over the swap
     volume: released pages gain fast-tier copies (far memory, compressed
     RAM) routed by their Eq. 2 priorities, and page reads go to wherever
@@ -79,23 +68,8 @@ val create :
 val config : t -> Config.t
 val engine : t -> Memhog_sim.Engine.t
 
-val trace : t -> Memhog_sim.Trace.t
-(** The event trace this kernel emits into ({!Memhog_sim.Trace.null} when
-    tracing was not requested); upper layers reuse it for their own
-    events. *)
-
-val ledger : t -> Memhog_sim.Ledger.t
-(** The lifecycle ledger this kernel feeds ({!Memhog_sim.Ledger.null} when
-    not requested); upper layers feed it their own events alongside the
-    trace. *)
-
-val chaos : t -> Memhog_sim.Chaos.t
-(** The active fault plan ({!Memhog_sim.Chaos.none} when not injecting). *)
-
-val reqtrace : t -> Memhog_sim.Reqtrace.t
-(** The per-request blame layer this kernel feeds
-    ({!Memhog_sim.Reqtrace.null} when not requested); the open-loop
-    server drives request lifecycles on it. *)
+val obs : t -> Memhog_sim.Obs.t
+(** The observation handle given to {!create}. *)
 
 val swap : t -> Memhog_disk.Swap.t
 
@@ -126,7 +100,6 @@ val cpus : t -> Memhog_sim.Semaphore.t
 (** {1 Process and memory setup} *)
 
 val new_process : t -> name:string -> Address_space.t
-val address_spaces : t -> Address_space.t list
 
 val map_segment :
   t ->

@@ -70,18 +70,17 @@ val spec_of_string_exn : string -> spec
 type t
 
 val create :
-  ?emit:(Trace.event -> unit) ->
+  ?obs:Obs.t ->
   ?chaos:Chaos.t ->
-  ?trace:Trace.t ->
   engine:Engine.t ->
   page_bytes:int ->
   swap:Swap.t ->
   spec ->
   unit ->
   t
-(** [emit] receives every tier event ({!Trace.Tier_demote} … and
-    {!Trace.Breaker_transition}); the owner routes them to its observers.
-    [chaos]/[trace] are handed to the far tier for its own fault hooks. *)
+(** [obs] receives every tier event on {!Trace.tier_stream}
+    ({!Trace.Tier_demote} … and {!Trace.Breaker_transition}); it and
+    [chaos] are handed to the far tier for its own retry and fault hooks. *)
 
 val demote : t -> page:int -> pid:int -> vpn:int -> site:int ->
   priority:int option -> unit

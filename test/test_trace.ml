@@ -47,12 +47,20 @@ let test_disabled_traces_record_nothing () =
   Trace.emit Trace.null ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
   check_bool "null disabled" false (Trace.enabled Trace.null);
   check_int "null stays empty" 0 (Trace.length Trace.null);
-  let t = Trace.create ~capacity:8 ~enabled:false () in
+  let t = Trace.create ~capacity:0 () in
+  check_bool "capacity 0 disabled" false (Trace.enabled t);
   Trace.emit t ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
-  check_int "disabled trace stays empty" 0 (Trace.length t);
-  Trace.set_enabled t true;
-  Trace.emit t ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
-  check_int "recording after enable" 1 (Trace.length t)
+  check_int "capacity 0 stays empty" 0 (Trace.length t);
+  check_bool "null obs: nothing on" false (Obs.on Obs.null);
+  check_bool "null obs: not recording" false (Obs.recording Obs.null);
+  let ring = Trace.create ~capacity:8 () in
+  let obs = Obs.create ~ring () in
+  check_bool "ring obs on" true (Obs.on obs && Obs.recording obs);
+  Obs.emit obs ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
+  check_int "obs feeds its ring" 1 (Trace.length ring);
+  let quiet = Obs.create ~ledger:(Ledger.create ()) () in
+  check_bool "ledger alone: on, not recording" true
+    (Obs.on quiet && not (Obs.recording quiet))
 
 let test_stream_names_and_tallies () =
   let t = Trace.create ~capacity:16 () in
@@ -93,7 +101,8 @@ let small_config =
 let traced_run () =
   let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
   let trace = Trace.create () in
-  let os = Os.create ~trace ~config:small_config ~engine () in
+  let obs = Obs.create ~ring:trace () in
+  let os = Os.create ~obs ~config:small_config ~engine () in
   ignore
     (Engine.spawn engine ~name:"main" (fun () ->
          Fun.protect ~finally:Engine.stop (fun () ->
@@ -163,8 +172,7 @@ let test_disabled_trace_counts_unchanged () =
              Engine.delay ~cat:Account.Sleep (Time_ns.ms 100);
              hard := asp.As.stats.Vm.Vm_stats.hard_faults)));
   Engine.run engine;
-  check_bool "default trace is the null trace" false
-    (Trace.enabled (Os.trace os));
+  check_bool "default obs watches nothing" false (Obs.on (Os.obs os));
   check_int "stats identical to the traced run" 8 !hard
 
 (* ------------------------------------------------------------------ *)
