@@ -33,10 +33,10 @@ let drive_spans reqs =
       now := !now + q;
       Reqtrace.start rq ~pid:1 ~key:i ~arrival ~now:!now;
       now := !now + ix;
-      Reqtrace.note_touch rq ~pid:1 ~kind:Reqtrace.Index ~vpn:i
+      Reqtrace.note_touch rq ~pid:1 ~owner:0 ~kind:Reqtrace.Index ~vpn:i
         ~outcome:Reqtrace.Hit ~now:!now;
       now := !now + v;
-      Reqtrace.note_touch rq ~pid:1 ~kind:Reqtrace.Value ~vpn:(i + 100_000)
+      Reqtrace.note_touch rq ~pid:1 ~owner:0 ~kind:Reqtrace.Value ~vpn:(i + 100_000)
         ~outcome:Reqtrace.Soft ~now:!now;
       now := !now + cw;
       Reqtrace.note_cpu_acquired rq ~pid:1 ~now:!now;
@@ -89,9 +89,9 @@ let test_synthetic_exact () =
 let test_warmup_not_committed () =
   let rq = Reqtrace.create ~seed:7 () in
   Reqtrace.start rq ~pid:1 ~key:0 ~arrival:0 ~now:5;
-  Reqtrace.note_touch rq ~pid:1 ~kind:Reqtrace.Index ~vpn:0
+  Reqtrace.note_touch rq ~pid:1 ~owner:0 ~kind:Reqtrace.Index ~vpn:0
     ~outcome:Reqtrace.Hit ~now:6;
-  Reqtrace.note_touch rq ~pid:1 ~kind:Reqtrace.Value ~vpn:1
+  Reqtrace.note_touch rq ~pid:1 ~owner:0 ~kind:Reqtrace.Value ~vpn:1
     ~outcome:Reqtrace.Hit ~now:7;
   Reqtrace.note_cpu_acquired rq ~pid:1 ~now:8;
   Reqtrace.finish rq ~pid:1 ~commit:false ~now:9;
@@ -100,6 +100,31 @@ let test_warmup_not_committed () =
   check_bool "no slowest" true (Reqtrace.slowest rq = None);
   let s = Reqtrace.summarize rq in
   check_int "empty response histogram" 0 (Histogram.count s.Reqtrace.su_response)
+
+(* Prefetch slack is per page of one address space.  The hog's
+   [Prefetch_done] for the same vpn number, on its own stream, must not
+   overwrite the I/O span of the server's prefetch: vpns restart at 0 in
+   every address space. *)
+let test_slack_per_address_space () =
+  let rq = Reqtrace.create ~seed:7 () in
+  let obs = Obs.create ~reqtrace:rq () in
+  let server = 1 and hog = 0 and vpn = 5 in
+  let prefetch_done ~stream ~time ns =
+    Obs.emit obs ~time ~stream
+      (Trace.Prefetch_done { vpn; site = Trace.no_site; ns })
+  in
+  Reqtrace.start rq ~pid:9 ~key:0 ~arrival:0 ~now:0;
+  Reqtrace.note_prefetch_issued rq ~owner:server ~vpn ~now:0;
+  prefetch_done ~stream:server ~time:100 100;
+  prefetch_done ~stream:hog ~time:200 10_000;
+  Reqtrace.note_touch rq ~pid:9 ~owner:server ~kind:Reqtrace.Index ~vpn
+    ~outcome:Reqtrace.Hit ~now:1_000;
+  Reqtrace.finish rq ~pid:9 ~commit:true ~now:1_000;
+  check_int "committed" 1 (Reqtrace.committed rq);
+  Reqtrace.iter_sampled rq (fun sp ->
+      check_int "prefetch hidden" 1 sp.Reqtrace.sp_pf_hidden;
+      check_int "slack = touch - issue - the server's own I/O" 900
+        sp.Reqtrace.sp_pf_slack)
 
 (* ------------------------------------------------------------------ *)
 (* A real serving grid                                                 *)
@@ -247,6 +272,8 @@ let () =
             test_synthetic_exact;
           Alcotest.test_case "warmup spans leave no mark" `Quick
             test_warmup_not_committed;
+          Alcotest.test_case "prefetch slack per address space" `Quick
+            test_slack_per_address_space;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_synthetic_additivity ]
       );
