@@ -256,6 +256,11 @@ let test_help_renders () =
    runs: no zero-pass run, no crash inside the engine, server or sleep.
    [top] gets an existing directory, so only the number can be refused. *)
 let test_bad_numbers_refused () =
+  (* A two-sample dump: the frame delay of [top] is (span / 120) / speed,
+     so a tiny positive speed asks for an infinite sleep. *)
+  let dump = Filename.temp_dir "memhog-top" "" in
+  Out_channel.with_open_text (Filename.concat dump "series.csv") (fun oc ->
+      output_string oc "series,time_ns,value\nfree,100000000,5\nfree,200000000,7\n");
   List.iter
     (fun args -> check_int (args ^ " exit code") 124 (cli args))
     [
@@ -264,9 +269,12 @@ let test_bad_numbers_refused () =
       "run --quick --interactive inf"; "run --quick --serve 0";
       "run --quick --serve nan"; "run --quick --serve=-5";
       "top --width 0 ."; "top --width=-4 ."; "top --speed nan .";
-      "top --speed=-1 ."; "figures --quick --jobs 0 table1";
-      "figures --quick --jobs abc table1";
-    ]
+      "top --speed=-1 ."; "top --speed 1e-300 " ^ Filename.quote dump;
+      "figures --quick --jobs 0 table1"; "figures --quick --jobs abc table1";
+    ];
+  check_int "top --speed 0 on the same dump" 0 (cli ("top --speed 0 " ^ Filename.quote dump));
+  Sys.remove (Filename.concat dump "series.csv");
+  Sys.rmdir dump
 
 (* The retired verbs, and [run]'s retired series file, are usage errors. *)
 let test_retired_front_ends_refused () =
