@@ -59,10 +59,13 @@ let test_ledger_off_same_work () =
   check_int "sim ns" on.Perf.pr_sim_ns off.Perf.pr_sim_ns
 
 (* The ledger's own cost: with the ledger on, each event may allocate at
-   most 3.5 more minor words than with it off.  That covers the trace
-   events the emit points build for it plus its own bookkeeping.  Keeping
-   page state in hash tables of boxed records costs 5-6 words/event on
-   these cells, so the bound catches a drift back to hashing. *)
+   most 2.37 more minor words than with it off.  That covers the
+   lifecycle events the emit points build for it (timeline-only events
+   are built only when the ring records) plus its own bookkeeping.
+   Measured on OCaml 5.1.1: MATVEC/R 2.06, EMBAR/B 1.43; the bound is the
+   larger × 1.15.  Building timeline-only events for the ledger too costs
+   2.70 on MATVEC/R, and keeping page state in hash tables of boxed
+   records 5-6, so the bound catches a drift back to either. *)
 let test_ledger_cost_bounded () =
   let cells =
     [
@@ -83,7 +86,7 @@ let test_ledger_cost_bounded () =
         (Printf.sprintf "%s: ledger adds %.2f words/event (%.2f -> %.2f)" label
            (w_on -. w_off) w_off w_on)
         true
-        (w_on -. w_off <= 3.5))
+        (w_on -. w_off <= 2.37))
     on off
 
 let () =
@@ -97,7 +100,7 @@ let () =
             test_projection_strips_wall;
           Alcotest.test_case "ledger off leaves work unchanged" `Quick
             test_ledger_off_same_work;
-          Alcotest.test_case "ledger costs at most 3.5 words/event" `Quick
+          Alcotest.test_case "ledger costs at most 2.37 words/event" `Quick
             test_ledger_cost_bounded;
         ] );
     ]
